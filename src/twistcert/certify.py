@@ -83,10 +83,12 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
 
 def certify_pa(m: SpMatrix, strict_power_mode: bool = False) -> PAVerdict:
     """One-sided pseudo-Anosov certificate from the homology action."""
-    reasons = pa_failure_reasons(charpoly(m.m), strict_power_mode=strict_power_mode)
-    if not reasons:
-        return PAVerdict(CERTIFIED_PA, frozenset())
-    return PAVerdict(INCONCLUSIVE, reasons)
+    return _pa_verdict(charpoly(m.m), strict_power_mode)
+
+
+def _pa_verdict(chi: IntPoly, strict_power_mode: bool) -> PAVerdict:
+    reasons = pa_failure_reasons(chi, strict_power_mode=strict_power_mode)
+    return PAVerdict(INCONCLUSIVE, reasons) if reasons else PAVerdict(CERTIFIED_PA, frozenset())
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def certify_report(word: TwistWord, strict_power_mode: bool = False) -> CertRepo
     matrix = eval_word(word)
     chi = charpoly(matrix.m)
     anosov = validate_family_T(word)
-    pa = certify_pa(matrix, strict_power_mode=strict_power_mode)
+    pa = _pa_verdict(chi, strict_power_mode)
     return CertReport(
         word=word,
         matrix=matrix,

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes partition outcomes: 0 success / certified, 1 definite negative,
-2 input error, 3 unknown verdict. Structured output is a single JSON tree
-with a schema_version field, byte-stable across runs for fixed flags and
-seed.
+2 input error, 3 unknown verdict, 4 internal error (an uncaught exception,
+one line on stderr). Structured output is a single JSON tree with a
+schema_version field, byte-stable across runs for fixed flags and seed.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .congruence import (
     verify_identities,
 )
 from .matrices import IntMatrix, SpMatrix
-from .polynomials import charpoly
+from .polynomials import DESK_DEGREE_BOUND, charpoly
 from .surgery import monodromy_from_plan, plan_as_json_dict, plan_from_T_word
 from .words import (
     FamilyRejection,
@@ -47,6 +47,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
+MAX_FACTOR_GENUS = DESK_DEGREE_BOUND // 2  # certify and density factor a degree-2g charpoly
 
 
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
@@ -422,7 +424,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.genus < 2:
         return _fail_input("genus must be >= 2")
-    return args.func(args)
+    if args.subcommand in ("certify", "density") and args.genus > MAX_FACTOR_GENUS:
+        return _fail_input(f"genus {args.genus} exceeds the factoring bound {MAX_FACTOR_GENUS}")
+    try:
+        return args.func(args)
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from .matrices import IntMatrix, ModMatrix, SpMatrix, mat_pow, reduce_mod, symplectic_form
-from .words import CurveLetter, generator_matrix
+from .matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
+from .words import CurveLetter, generator_matrix, transvect_rows, transvection, transvection_product
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 
@@ -100,9 +100,7 @@ def root_matrix(spec: RootSpec, genus: int) -> SpMatrix:
 
 def rotation_matrix(i: int, genus: int) -> SpMatrix:
     """A_i B_i A_i: rotation by a quarter turn in the (e_i, e_{g+i}) plane."""
-    a = twist_gen("A", i, genus)
-    b = twist_gen("B", i, genus)
-    return a @ b @ a
+    return eval_gen_word(GenWord(genus, (("A", i, 1), ("B", i, 1), ("A", i, 1))))
 
 
 def d_matrix(i: int, genus: int) -> SpMatrix:
@@ -110,11 +108,7 @@ def d_matrix(i: int, genus: int) -> SpMatrix:
     (A_{i+1} B_{i+1} A_{i+1})^{-1}, multiplied literally as written."""
     if not 1 <= i <= genus - 1:
         raise ValueError(f"index {i} out of range")
-    a_i = twist_gen("A", i, genus)
-    b_next = twist_gen("B", i + 1, genus)
-    c_i = twist_gen("C", i, genus)
-    rot = rotation_matrix(i + 1, genus)
-    return a_i @ a_i @ b_next @ b_next @ rot @ c_i @ c_i @ rot.inverse()
+    return eval_gen_word(_d_word(i, genus))
 
 
 def d_prime_matrix(i: int, genus: int) -> SpMatrix:
@@ -122,11 +116,7 @@ def d_prime_matrix(i: int, genus: int) -> SpMatrix:
     (A_{i-1} B_{i-1} A_{i-1})^{-1} B_{i-1}^{-2} A_i^{-2}."""
     if not 2 <= i <= genus:
         raise ValueError(f"index {i} out of range")
-    rot = rotation_matrix(i - 1, genus)
-    c_inv = twist_gen("C", i - 1, genus).inverse()
-    b_inv = twist_gen("B", i - 1, genus).inverse()
-    a_inv = twist_gen("A", i, genus).inverse()
-    return rot @ c_inv @ c_inv @ rot.inverse() @ b_inv @ b_inv @ a_inv @ a_inv
+    return eval_gen_word(_d_prime_word(i, genus))
 
 
 def _commutator(p: SpMatrix, q: SpMatrix) -> SpMatrix:
@@ -218,9 +208,7 @@ def verify_identities(genus: int) -> IdentityReport:
             check(f"z_step[k={k},l={ell}]", lhs,
                   root_matrix(RootSpec("Z", k - ell, k, 2 ** ell), g))
 
-    theta = SpMatrix.identity(g)
-    for i in range(1, g + 1):
-        theta = theta @ rotation_matrix(i, g)
+    theta = eval_gen_word(_theta_word(g))
     check("rotations_give_form_matrix", theta, SpMatrix(symplectic_form(g), g))
     for jj in range(1, g + 1):
         for kk in range(jj + 1, g + 1):
@@ -251,22 +239,13 @@ def _chain_relation_check(i: int, g: int) -> IdentityCheck:
     opposite-handed transvection relative to the displayed a and b matrices,
     as the braid relation test shows).
     """
-    a = twist_gen("A", i, g)
-    b = twist_gen("B", i, g)
-    a_next = twist_gen("A", i + 1, g)
     results = {}
-    for reading in ("displayed", "inverse"):
-        c = twist_gen("C", i, g)
-        if reading == "inverse":
-            c = c.inverse()
-        c2 = c @ c
-        c_m2 = c2.inverse()
-        blk = a.inverse() @ b.inverse() @ c_m2
-        written = a_next @ a_next @ blk @ blk @ a.inverse() @ b.inverse()
-        blk_rev = c_m2 @ b.inverse() @ a.inverse()
-        reverse = b.inverse() @ a.inverse() @ blk_rev @ blk_rev @ a_next @ a_next
-        results[f"written,{reading}"] = written == c2
-        results[f"reverse,{reading}"] = reverse == c2
+    for reading, c in (("displayed", 2), ("inverse", -2)):  # c_i^2 read as C_i^c
+        block = (("A", i, -1), ("B", i, -1), ("C", i, -c))
+        written = (("A", i + 1, 1),) * 2 + block * 2 + block[:2]
+        c2 = eval_gen_word(GenWord(g, (("C", i, c),)))
+        results[f"written,{reading}"] = eval_gen_word(GenWord(g, written)) == c2
+        results[f"reverse,{reading}"] = eval_gen_word(GenWord(g, written[::-1])) == c2
     passed = any(results.values())
     holding = sorted(key for key, ok in results.items() if ok)
     detail = f"holds for (order, c-reading) in {holding}" if holding else "holds in no reading"
@@ -320,12 +299,8 @@ class GenWord:
 
 def eval_gen_word(word: GenWord) -> SpMatrix:
     """Literal product order: eval(x_1 ... x_n) = M(x_1) ... M(x_n)."""
-    acc = IntMatrix.identity(2 * word.genus)
-    for kind, index, exponent in word.letters:
-        gen = twist_gen(kind, index, word.genus)
-        base = gen if exponent > 0 else gen.inverse()
-        acc = acc @ mat_pow(base.m, abs(exponent))
-    return SpMatrix(acc, word.genus)
+    return transvection_product(word.genus, (
+        (CurveLetter(kind.lower(), index), exponent) for kind, index, exponent in word.letters))
 
 
 def format_gen_word(word: GenWord) -> str:
@@ -468,18 +443,34 @@ def mod2_block_test(m: SpMatrix, genus: int | None = None) -> bool:
 # Finite-quotient closure (genus 2, modulus 4)
 # ---------------------------------------------------------------------------
 
+def _closure_letters(genus: int) -> list[tuple[str, int, int]]:
+    letters = []
+    for i in range(1, genus + 1):
+        letters += [("A", i, 1), ("A", i, -1), ("B", i, 1), ("B", i, -1)]
+    for i in range(1, genus):
+        letters += [("C", i, 2), ("C", i, -2)]
+    return letters
+
+
 def closure_generators(genus: int = 2) -> list[SpMatrix]:
     """The 4g + 2(g-1) group generators with inverses: A_i^{+-1}, B_i^{+-1},
     C_i^{+-2}."""
-    gens: list[SpMatrix] = []
-    for i in range(1, genus + 1):
-        a = twist_gen("A", i, genus)
-        b = twist_gen("B", i, genus)
-        gens += [a, a.inverse(), b, b.inverse()]
-    for i in range(1, genus):
-        c2 = twist_gen("C", i, genus).pow(2)
-        gens += [c2, c2.inverse()]
-    return gens
+    return [eval_gen_word(GenWord(genus, (letter,))) for letter in _closure_letters(genus)]
+
+
+def _row_tables(genus: int, modulus: int) -> list[bytes]:
+    """Per closure generator G, the map of row bytes r -> r G mod q. At genus 2
+    a packed key holds matrix row i in byte i, so bytes.translate through the
+    table right-multiplies every key by G."""
+    bits = (modulus - 1).bit_length()
+    tables = []
+    for kind, index, exponent in _closure_letters(genus):
+        rows = [[(byte >> (bits * j)) & (modulus - 1) for j in range(2 * genus)]
+                for byte in range(256)]
+        transvect_rows(rows, *transvection(CurveLetter(kind.lower(), index), genus), exponent)
+        tables.append(bytes(sum((x % modulus) << (bits * j) for j, x in enumerate(row))
+                            for row in rows))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -499,37 +490,9 @@ class ClosureTable:
 
     def recheck_generator_closed(self) -> bool:
         """Full pass: every element times every generator stays inside."""
-        packed = np.fromiter(self.elements, dtype=np.uint64, count=self.size)
-        mats = _unpack_many(packed, 2 * self.genus, self.modulus)
-        gens = _generator_array(self.genus, self.modulus)
-        for gen in gens:
-            prods = (mats @ gen) % self.modulus
-            keys = _pack_many(prods, self.modulus)
-            if not set(keys.tolist()) <= self.elements:
-                return False
-        return True
-
-
-def _generator_array(genus: int, modulus: int) -> np.ndarray:
-    return np.array(
-        [[[x % modulus for x in row] for row in gen.m.rows]
-         for gen in closure_generators(genus)],
-        dtype=np.uint8,
-    )
-
-
-def _pack_many(mats: np.ndarray, modulus: int) -> np.ndarray:
-    n = mats.shape[-1]
-    bits = (modulus - 1).bit_length()
-    shifts = (bits * np.arange(n * n, dtype=np.uint64)).reshape(n, n)
-    return (mats.astype(np.uint64) << shifts).sum(axis=(1, 2))
-
-
-def _unpack_many(keys: np.ndarray, dim: int, modulus: int) -> np.ndarray:
-    bits = (modulus - 1).bit_length()
-    shifts = (bits * np.arange(dim * dim, dtype=np.uint64)).reshape(dim, dim)
-    mask = np.uint64(modulus - 1)
-    return ((keys[:, None, None] >> shifts) & mask).astype(np.uint8)
+        raw = array("I", self.elements).tobytes()
+        return all(self.elements.issuperset(array("I", raw.translate(table)))
+                   for table in _row_tables(self.genus, self.modulus))
 
 
 def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
@@ -538,7 +501,7 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
     737280 elements, each packed into 32 bits).
 
     cache_path (or the TWISTCERT_CACHE environment variable) names a binary
-    cache with a versioned header; a header mismatch forces recomputation.
+    cache with a versioned header; a stale or inconsistent file is rebuilt.
     """
     if genus != 2:
         raise ValueError("exact closure mode is implemented for genus 2 only")
@@ -550,18 +513,14 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
         if cached is not None:
             return cached
 
-    gens = _generator_array(genus, modulus)
-    identity = np.eye(2 * genus, dtype=np.uint8)[None]
-    visited: set[int] = set(_pack_many(identity, modulus).tolist())
-    frontier = identity
-    while len(frontier):
-        prods = np.einsum("nij,gjk->ngik", frontier, gens).reshape(-1, 2 * genus, 2 * genus) % modulus
-        keys = _pack_many(prods, modulus)
-        uniq, first_idx = np.unique(keys, return_index=True)
-        fresh = [int(idx) for key, idx in zip(uniq.tolist(), first_idx.tolist())
-                 if key not in visited]
-        frontier = prods[fresh]
-        visited.update(int(keys[idx]) for idx in fresh)
+    tables = _row_tables(genus, modulus)
+    frontier = array("I", [reduce_mod(IntMatrix.identity(2 * genus), modulus).packed_word()])
+    visited = set(frontier)
+    while frontier:
+        raw = frontier.tobytes()
+        fresh = set().union(*(array("I", raw.translate(table)) for table in tables)) - visited
+        visited |= fresh
+        frontier = array("I", fresh)
 
     table = ClosureTable(genus, modulus, frozenset(visited))
     if cache_path:
@@ -570,28 +529,42 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
 
 
 def _load_closure_cache(path: str, genus: int, modulus: int) -> ClosureTable | None:
+    """The cached table, or None on a header mismatch, not exactly `count`
+    keys, a repeated key, no identity or a size not dividing |Sp(2g, Z/q)|.
+    Closure under the generators is not rechecked."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if len(header) != 20:
             return None
         magic, version, g, q, count = struct.unpack("<4sIIII", header)
-        if magic != _CACHE_MAGIC or version != _CACHE_VERSION or g != genus or q != modulus:
+        if (magic, version, g, q) != (_CACHE_MAGIC, _CACHE_VERSION, genus, modulus) \
+                or count == 0 or sp_group_order_mod(genus, modulus) % count:
             return None
-        data = np.fromfile(fh, dtype="<u4", count=count)
-    if len(data) != count:
+        data = fh.read(4 * count + 1)
+    if len(data) != 4 * count:
         return None
-    return ClosureTable(genus, modulus, frozenset(int(x) for x in data))
+    elements = frozenset(struct.unpack(f"<{count}I", data))
+    identity = reduce_mod(IntMatrix.identity(2 * genus), modulus).packed_word()
+    if len(elements) != count or identity not in elements:
+        return None
+    return ClosureTable(genus, modulus, elements)
 
 
 def _store_closure_cache(path: str, table: ClosureTable) -> None:
-    data = np.array(sorted(table.elements), dtype="<u4")
+    """Write the header and sorted keys to a temporary file, then rename it."""
+    keys = sorted(table.elements)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION,
-                             table.genus, table.modulus, len(data)))
-        data.tofile(fh)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack(f"<4sIIII{len(keys)}I", _CACHE_MAGIC, _CACHE_VERSION,
+                                 table.genus, table.modulus, len(keys), *keys))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -668,23 +641,15 @@ def membership(m: SpMatrix, genus: int | None = None,
         return MembershipVerdict(NOT_IN_GAMMA, None, "mod-2 block obstruction")
     if m.m.is_identity():
         return MembershipVerdict(IN_GAMMA, GenWord(g, ()), "identity")
-    for kind in ("A", "B"):
-        for i in range(1, g + 1):
-            gen = twist_gen(kind, i, g)
-            if m == gen:
-                return MembershipVerdict(IN_GAMMA, _letter(kind, i, 1, g), "generator")
-            if m == gen.inverse():
-                return MembershipVerdict(IN_GAMMA, _letter(kind, i, -1, g), "generator inverse")
-    for i in range(1, g):
-        c2 = twist_gen("C", i, g).pow(2)
-        if m == c2:
-            return MembershipVerdict(IN_GAMMA, _letter("C", i, 2, g), "generator")
-        if m == c2.inverse():
-            return MembershipVerdict(IN_GAMMA, _letter("C", i, -2, g), "generator inverse")
+    for letter, gen in zip(_closure_letters(g), closure_generators(g)):
+        if m == gen:
+            detail = "generator" if letter[2] > 0 else "generator inverse"
+            return MembershipVerdict(IN_GAMMA, GenWord(g, (letter,)), detail)
     spec = _match_root_pattern(m)
     if spec is not None and spec.t % (2 ** (g - 1)) == 0:
         word = synthesize_root(spec, g)
-        assert eval_gen_word(word) == m
+        if eval_gen_word(word) != m:
+            raise ArithmeticError(f"synthesized word for {spec} does not evaluate to the matrix")
         return MembershipVerdict(IN_GAMMA, word, f"synthesized root word for {spec}")
     return MembershipVerdict(UNKNOWN, None, "no obstruction found and no witness available")
 
@@ -700,6 +665,6 @@ def gamma_index(genus: int = 2, table: ClosureTable | None = None) -> int:
     if total % table.size != 0:
         raise ArithmeticError("closure size does not divide the group order")
     index = total // table.size
-    assert index <= 2 ** 64, "index exceeds the 2^(8g^3) bound at g=2"
-    assert index % 20 == 0 and index >= 20
+    if index > 2 ** 64:
+        raise ArithmeticError("index exceeds the 2^(8g^3) bound at g=2")
     return index

@@ -155,20 +155,27 @@ class SpMatrix:
     def dim(self) -> int:
         return self.m.dim
 
+    @classmethod
+    def _closed(cls, m: IntMatrix, genus: int) -> SpMatrix:
+        # Sp(2g, Z) is closed under @, inverse and pow: their results skip the check
+        sp = object.__new__(cls)
+        sp.__dict__.update(m=m, genus=genus)
+        return sp
+
     def __matmul__(self, other: SpMatrix) -> SpMatrix:
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        return SpMatrix(self.m @ other.m, self.genus)
+        return SpMatrix._closed(self.m @ other.m, self.genus)
 
     def inverse(self) -> SpMatrix:
         # M^T J M = J  implies  M^{-1} = -J M^T J.
         j = symplectic_form(self.genus)
         inv = j.scale(-1) @ self.m.transpose() @ j
-        return SpMatrix(inv, self.genus)
+        return SpMatrix._closed(inv, self.genus)
 
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()
-        return SpMatrix(mat_pow(base.m, abs(k)), self.genus)
+        return SpMatrix._closed(mat_pow(base.m, abs(k)), self.genus)
 
 
 def sp_inverse(m: SpMatrix) -> SpMatrix:

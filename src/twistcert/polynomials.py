@@ -430,7 +430,8 @@ def _hensel_lift(f: IntPoly, mod_factors: list[list[int]], p: int, bound: int) -
         for fac in parts[half:]:
             h_mod = _gf_mul(h_mod, fac, p)
         s_mod, t_mod, one = _gf_gcdex(g_mod, h_mod, p)
-        assert one == [1], "lift factors are not coprime mod p"
+        if one != [1]:
+            raise ArithmeticError("lift factors are not coprime mod p")
         g = IntPoly(tuple(_sym(c, p) for c in g_mod))
         h = IntPoly(tuple(_sym(c, p) for c in h_mod))
         s = IntPoly(tuple(_sym(c, p) for c in s_mod))
@@ -555,7 +556,8 @@ def _monic_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if not fa:
         return IntPoly(())
     mon = [c / fa[-1] for c in fa]
-    assert all(c.denominator == 1 for c in mon), "gcd of monic inputs must be integral"
+    if any(c.denominator != 1 for c in mon):
+        raise ArithmeticError("gcd of monic inputs must be integral")
     return IntPoly(tuple(int(c) for c in mon))
 
 
@@ -591,7 +593,8 @@ def factor_over_Z(p: IntPoly) -> tuple[IntPoly, ...]:
     for part, mult in _squarefree_decomposition(body):
         for factor in _factor_squarefree_monic(part, rng):
             factors.extend([factor] * mult)
-    assert math.prod(factors, start=ONE) == p
+    if math.prod(factors, start=ONE) != p:
+        raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)
 
 
@@ -717,7 +720,8 @@ def factor_over_Z_bruteforce(p: IntPoly) -> tuple[IntPoly, ...]:
     else:
         if body.degree == 1:
             factors.append(body)
-    assert math.prod(factors, start=ONE) == p
+    if math.prod(factors, start=ONE) != p:
+        raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .matrices import IntMatrix, SpMatrix, mat_pow
+from .matrices import IntMatrix, SpMatrix
 
 KINDS = ("a", "b", "c", "d")
 
@@ -131,41 +132,53 @@ def format_word(word: TwistWord) -> str:
     return " ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def generator_matrix(letter: CurveLetter, genus: int) -> SpMatrix:
-    """Homology action of the left Dehn twist along the letter's curve, in the
-    basis ([a_1],...,[a_g],[b_1],...,[b_g]).
+Sparse = tuple[tuple[int, int], ...]  # (0-based position, coefficient) pairs
 
-    Twists along the separating curves d_l act trivially (Torelli).
-    """
+
+@lru_cache(maxsize=None)
+def transvection(letter: CurveLetter, genus: int) -> tuple[Sparse, Sparse]:
+    """(u, w) with letter matrix I + u w^T and w^T u = 0, so its e-th power is
+    I + e u w^T. Basis ([a_1],...,[a_g],[b_1],...,[b_g]); u = w = () for the
+    separating curves d_l, whose twists act trivially (Torelli)."""
     if not letter.valid_for(genus):
         raise ValueError(f"letter {letter} out of range for genus {genus}")
-    n = 2 * genus
-    i = letter.index
+    i = letter.index - 1
     if letter.kind == "a":
-        m = IntMatrix.from_unit_entries(n, {(i, genus + i): 1})
-    elif letter.kind == "b":
-        m = IntMatrix.from_unit_entries(n, {(genus + i, i): -1})
-    elif letter.kind == "c":
-        m = IntMatrix.from_unit_entries(n, {
-            (i, genus + i): -1,
-            (i + 1, genus + i + 1): -1,
-            (i + 1, genus + i): 1,
-            (i, genus + i + 1): 1,
-        })
-    else:
-        m = IntMatrix.identity(n)
-    return SpMatrix(m, genus)
+        return ((i, 1),), ((genus + i, 1),)
+    if letter.kind == "b":
+        return ((genus + i, 1),), ((i, -1),)
+    if letter.kind == "c":
+        return ((i, 1), (i + 1, -1)), ((genus + i, -1), (genus + i + 1, 1))
+    return (), ()
+
+
+def transvect_rows(rows: list[list[int]], u: Sparse, w: Sparse, e: int) -> None:
+    """rows <- rows (I + e u w^T) in place: each row r <- r + e (r.u) w^T."""
+    for r in rows:
+        s = e * sum(r[k] * c for k, c in u)
+        if s:
+            for k, c in w:
+                r[k] += s * c
+
+
+def transvection_product(genus: int, letters: Iterable[tuple[CurveLetter, int]]) -> SpMatrix:
+    """M(x_1)^e_1 ... M(x_k)^e_k for the (x, e) pairs in the given order,
+    certified symplectic once."""
+    rows = [list(row) for row in IntMatrix.identity(2 * genus).rows]
+    for letter, exponent in letters:
+        transvect_rows(rows, *transvection(letter, genus), exponent)
+    return SpMatrix(IntMatrix(tuple(map(tuple, rows))), genus)
+
+
+@lru_cache(maxsize=None)
+def generator_matrix(letter: CurveLetter, genus: int) -> SpMatrix:
+    """Homology action of the left Dehn twist along the letter's curve."""
+    return transvection_product(genus, ((letter, 1),))
 
 
 def eval_word(word: TwistWord) -> SpMatrix:
     """Evaluate in reverse written order: eval(x_1 ... x_k) = M(x_k)...M(x_1)."""
-    acc = IntMatrix.identity(2 * word.genus)
-    for letter, exponent in reversed(word.letters):
-        gen = generator_matrix(letter, word.genus)
-        base = gen if exponent > 0 else gen.inverse()
-        acc = acc @ mat_pow(base.m, abs(exponent))
-    return SpMatrix(acc, word.genus)
+    return transvection_product(word.genus, reversed(word.letters))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from twistcert.certify import (
     sample_t_word,
 )
 from twistcert.matrices import SpMatrix
-from twistcert.polynomials import IntPoly, cyclotomic_polynomial
+from twistcert.polynomials import IntPoly, charpoly, cyclotomic_polynomial
 from twistcert.words import (
     CurveLetter,
     FamilyRejection,
@@ -80,6 +80,21 @@ def test_certify_report_example(example_word_text):
     assert report.pa.status == CERTIFIED_PA
     assert report.hyperbolic == "yes"
     assert report.charpoly == IntPoly((1, 1, -2, 1, 1))
+
+
+def test_certify_report_computes_charpoly_once(example_word_text, monkeypatch):
+    import twistcert.certify as certify
+
+    calls = []
+
+    def counting_charpoly(m):
+        calls.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(certify, "charpoly", counting_charpoly)
+    report = certify_report(parse_word(example_word_text, 2))
+    assert len(calls) == 1
+    assert report.pa == certify_pa(report.matrix)
 
 
 def test_certify_report_hat_tau_d():

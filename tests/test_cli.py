@@ -1,9 +1,13 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import pytest
 
 from twistcert.cli import main
-from twistcert.congruence import RootSpec, root_matrix, twist_gen
+from twistcert.congruence import RootSpec, quotient_closure, root_matrix, twist_gen
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +199,32 @@ def test_index_with_cache(capsys, tmp_path):
     assert json.loads(out2) == payload
 
 
+def test_index_rebuilds_one_key_cache(capsys, tmp_path):
+    # a valid header holding only key 0 (not even the identity)
+    cache = tmp_path / "closure.bin"
+    cache.write_bytes(struct.pack("<4sIIIII", b"TWCL", 1, 2, 4, 1, 0))
+    assert len(cache.read_bytes()) == 24
+    code, payload, _ = run_json(capsys, "index", "--cache", str(cache))
+    assert code == 0
+    assert payload["image_size"] == 36864
+    assert payload["index"] == 20
+    assert len(cache.read_bytes()) == 20 + 4 * 36864
+    assert quotient_closure(2, str(cache)).size == 36864
+
+
+def test_cli_imports_no_numpy():
+    script = ("import sys, twistcert\n"
+              "from twistcert.cli import main\n"
+              "code = main(['index', '--format', 'json'])\n"
+              "sys.exit('numpy imported' if 'numpy' in sys.modules else code)\n")
+    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["index"] == 20
+
+
 def test_index_requires_genus_two(capsys):
     code, _, err = run_cli(capsys, "index", "--genus", "3")
     assert code == 2
@@ -216,6 +246,38 @@ def test_genus_floor(capsys):
     code, _, err = run_cli(capsys, "eval", "a1", "--genus", "1")
     assert code == 2
     assert "genus" in err
+
+
+def test_genus_above_factoring_bound_is_input_error(capsys):
+    # boundary value only: genus 32 would run a slow certification
+    code, _, err = run_cli(capsys, "certify", "a1 b1", "--genus", "33")
+    assert code == 2
+    assert "factoring bound 32" in err
+    assert "Traceback" not in err
+    code, _, err = run_cli(capsys, "density", "--genus", "33", "--seed", "1",
+                           "--samples", "1")
+    assert code == 2
+
+
+def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
+    import twistcert.cli as cli
+
+    def broken(word):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "eval_word", broken)
+    code, out, err = run_cli(capsys, "eval", "a1", "--genus", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_non_symplectic_matrix_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, _, err = run_cli(capsys, "membership", str(path), "--genus", "2")
+    assert code == 2
+    assert "not symplectic" in err
 
 
 def test_density_rejects_bad_params(capsys):

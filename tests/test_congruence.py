@@ -1,4 +1,11 @@
+import hashlib
+import os
 import random
+import struct
+import subprocess
+import sys
+import textwrap
+from array import array
 
 import pytest
 
@@ -239,8 +246,8 @@ def test_closure_generator_closed(closure_table):
 
 
 def test_closure_matches_pure_python_bfs(closure_table):
-    # independent oracle for the vectorized engine: dict/deque BFS over
-    # ModMatrix values, no numpy involved
+    # independent oracle for the row-table engine: dict/deque BFS over
+    # ModMatrix products, no packed-byte arithmetic involved
     from collections import deque
 
     gens = [reduce_mod(g.m, 4) for g in closure_generators(2)]
@@ -260,11 +267,9 @@ def test_closure_matches_pure_python_bfs(closure_table):
 
 def test_full_twist_group_covers_sp4_mod4():
     # with C1^{+-1} (not just squares) the twists generate the whole group;
-    # the closure count independently validates the group-order formula
-    import numpy as np
-
-    from twistcert.congruence import _pack_many
-
+    # the closure count independently validates the group-order formula.
+    # Own row-table BFS: a packed key holds matrix row i in byte i, and each
+    # table maps a row byte to the byte of (row times generator) mod 4.
     gens = []
     for i in (1, 2):
         for kind in ("A", "B"):
@@ -272,19 +277,27 @@ def test_full_twist_group_covers_sp4_mod4():
             gens += [m, m.inverse()]
     c1 = twist_gen("C", 1, 2)
     gens += [c1, c1.inverse()]
-    gens_np = np.array(
-        [[[x % 4 for x in row] for row in g.m.rows] for g in gens], dtype=np.uint8)
-    ident = np.eye(4, dtype=np.uint8)[None]
-    visited = set(_pack_many(ident, 4).tolist())
-    frontier = ident
-    while len(frontier):
-        prods = np.einsum("nij,gjk->ngik", frontier, gens_np).reshape(-1, 4, 4) % 4
-        keys = _pack_many(prods, 4)
-        uniq, idx = np.unique(keys, return_index=True)
-        fresh = [int(i) for u, i in zip(uniq.tolist(), idx.tolist())
-                 if u not in visited]
-        frontier = prods[fresh]
-        visited.update(int(keys[i]) for i in fresh)
+
+    def row_table(gen):
+        out = bytearray()
+        for byte in range(256):
+            row = [(byte >> (2 * k)) & 3 for k in range(4)]
+            prod = [sum(row[k] * gen.m.rows[k][j] for k in range(4)) % 4 for j in range(4)]
+            out.append(sum(x << (2 * j) for j, x in enumerate(prod)))
+        return bytes(out)
+
+    tables = [row_table(g) for g in gens]
+    ident = reduce_mod(IntMatrix.identity(4), 4).packed_word()
+    visited = {ident}
+    frontier = array("I", [ident])
+    while frontier:
+        raw = frontier.tobytes()
+        fresh = set()
+        for table in tables:
+            fresh.update(array("I", raw.translate(table)))
+        fresh -= visited
+        visited |= fresh
+        frontier = array("I", fresh)
     assert len(visited) == sp_group_order_mod(2, 4) == 737280
 
 
@@ -318,6 +331,69 @@ def test_closure_cache_round_trip(tmp_path, closure_table):
     path.write_bytes(b"XXXX" + raw[4:])
     rebuilt = quotient_closure(2, str(path))
     assert rebuilt.elements == table.elements
+
+
+PARENT_CACHE_SHA256 = "5416c9eacecd3ac606d1c75d0e65efdeb4540f89d8fc30c8749a55092d58599f"
+
+
+def test_closure_cache_bytes_pinned(tmp_path):
+    # header <4sIIII, then the 36864 sorted keys as little-endian u32
+    path = tmp_path / "closure.bin"
+    quotient_closure(2, str(path))
+    raw = path.read_bytes()
+    assert len(raw) == 147476
+    assert hashlib.sha256(raw).hexdigest() == PARENT_CACHE_SHA256
+    assert os.listdir(tmp_path) == ["closure.bin"]  # no temporary file left
+
+
+def _cache_bytes(keys, count=None):
+    count = len(keys) if count is None else count
+    return struct.pack(f"<4sIIII{len(keys)}I", b"TWCL", 1, 2, 4, count, *keys)
+
+
+@pytest.mark.parametrize("case", [
+    "only_key_zero", "missing_identity", "repeated_key", "size_not_dividing",
+    "short_data", "trailing_data", "huge_count",
+])
+def test_closure_cache_rejects_inconsistent_file(tmp_path, closure_table, case):
+    ident = reduce_mod(IntMatrix.identity(4), 4).packed_word()
+    keys = sorted(closure_table.elements)
+    others = [k for k in keys if k != ident]
+    raw = {
+        "only_key_zero": _cache_bytes([0]),
+        "missing_identity": _cache_bytes(others[:36864 // 2]),
+        "repeated_key": _cache_bytes(keys[:-1] + keys[:1]),
+        "size_not_dividing": _cache_bytes([ident] + others[:6]),
+        "short_data": _cache_bytes(keys)[:-4],
+        "trailing_data": _cache_bytes(keys) + b"\0\0\0\0",
+        "huge_count": _cache_bytes([ident], count=2 ** 32 - 1),
+    }[case]
+    path = tmp_path / "closure.bin"
+    path.write_bytes(raw)
+    table = quotient_closure(2, str(path))
+    assert table.elements == closure_table.elements
+    # the rebuild rewrote the file
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PARENT_CACHE_SHA256
+
+
+def test_membership_witness_check_survives_optimize():
+    # the synthesized-witness re-evaluation is an explicit check, not an
+    # assert, so it still runs under python -O
+    script = textwrap.dedent("""
+        import twistcert.congruence as c
+        from twistcert.matrices import SpMatrix
+        c.eval_gen_word = lambda word: SpMatrix.identity(word.genus)
+        root = c.root_matrix(c.RootSpec("Z", 1, 3, t=4), 3)
+        try:
+            verdict = c.membership(root, 3)
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit(f"membership returned {verdict.verdict}")
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_closure_cache_env_var(tmp_path, monkeypatch, closure_table):
@@ -386,7 +462,7 @@ def test_gamma_index(closure_table):
     index = gamma_index(2, closure_table)
     assert index == 20  # regression constant from the first verified run
     assert index % 20 == 0
-    assert index >= 2
+    assert index >= 20
     assert index <= 2 ** 64
     with pytest.raises(ValueError):
         gamma_index(3)

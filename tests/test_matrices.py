@@ -88,6 +88,20 @@ def test_sp_matrix_rejects_non_symplectic():
         SpMatrix(IntMatrix.identity(4), 3)  # dimension/genus mismatch
 
 
+def test_sp_matrix_closed_operations_skip_the_check(monkeypatch):
+    import twistcert.matrices as matrices
+
+    a1 = SpMatrix(E(4, 1, 3), 2)
+    c1 = SpMatrix(gen("c", 1), 2)
+    calls = []
+    monkeypatch.setattr(matrices, "sp_check", lambda *args: calls.append(args) or True)
+    product = (a1 @ c1).inverse().pow(-3)
+    assert calls == []
+    assert matrices.mat_mul(product.m, (a1 @ c1).inverse().pow(3).m).is_identity()
+    SpMatrix(E(4, 1, 3), 2)
+    assert len(calls) == 1
+
+
 def test_sp_inverse_examples():
     g = 2
     a1 = SpMatrix(E(4, 1, 3), g)

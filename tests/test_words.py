@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from twistcert.matrices import IntMatrix, det, sp_check
+from twistcert.congruence import GenWord, eval_gen_word, format_gen_word
+from twistcert.matrices import IntMatrix, SpMatrix, det, mat_mul, mat_pow, sp_check
 from twistcert.polynomials import charpoly, is_reciprocal
 from twistcert.words import (
     CurveLetter,
@@ -232,3 +233,70 @@ def test_twist_word_validation():
         TwistWord(2, ((CurveLetter("c", 2), 1),))
     with pytest.raises(ValueError):
         TwistWord(1, ())
+
+
+def dense_letter(kind, index, genus):
+    """Letter matrix from the displayed unit-entry formulas, independent of
+    the transvection kernel."""
+    n, g, i = 2 * genus, genus, index
+    if kind == "a":
+        return IntMatrix.from_unit_entries(n, {(i, g + i): 1})
+    if kind == "b":
+        return IntMatrix.from_unit_entries(n, {(g + i, i): -1})
+    if kind == "c":
+        return IntMatrix.from_unit_entries(n, {
+            (i, g + i): -1, (i + 1, g + i + 1): -1, (i + 1, g + i): 1, (i, g + i + 1): 1})
+    return IntMatrix.identity(n)
+
+
+def dense_power(kind, index, genus, exponent):
+    m = dense_letter(kind, index, genus)
+    base = m if exponent > 0 else SpMatrix(m, genus).inverse().m
+    return mat_pow(base, abs(exponent))
+
+
+def dense_product(genus, letters):
+    acc = IntMatrix.identity(2 * genus)
+    for kind, index, exponent in letters:
+        acc = mat_mul(acc, dense_power(kind, index, genus, exponent))
+    return acc
+
+
+def test_generator_matrix_matches_dense_formulas():
+    for g in (2, 3, 4):
+        for kind in "abcd":
+            top = g if kind in "ab" else g - 1
+            for i in range(1, top + 1):
+                assert generator_matrix(CurveLetter(kind, i), g).m == dense_letter(kind, i, g)
+
+
+def test_eval_word_matches_dense_oracle():
+    rng = random.Random(2024)
+    for g in range(2, 7):
+        for _ in range(8):
+            letters = []
+            for _ in range(rng.randint(1, 10)):
+                kind = rng.choice("abcd")
+                top = g if kind in "ab" else g - 1
+                exponent = rng.choice((-1, 1)) * rng.randint(1, 50)
+                letters.append((CurveLetter(kind, rng.randint(1, top)), exponent))
+            word = TwistWord(g, tuple(letters))
+            expected = dense_product(
+                g, [(x.kind, x.index, e) for x, e in reversed(word.letters)])
+            assert eval_word(word).m == expected, format_word(word)
+
+
+def test_eval_gen_word_matches_dense_oracle():
+    rng = random.Random(2025)
+    for g in range(2, 7):
+        for _ in range(8):
+            letters = []
+            for _ in range(rng.randint(1, 10)):
+                kind = rng.choice("ABC")
+                if kind == "C":
+                    letters.append(("C", rng.randint(1, g - 1), rng.choice((2, -2))))
+                else:
+                    letters.append((kind, rng.randint(1, g), rng.choice((1, -1))))
+            word = GenWord(g, tuple(letters))
+            expected = dense_product(g, [(k.lower(), i, e) for k, i, e in word.letters])
+            assert eval_gen_word(word).m == expected, format_gen_word(word)
