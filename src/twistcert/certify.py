@@ -14,11 +14,12 @@ from .matrices import SpMatrix
 from .polynomials import (
     IntPoly,
     charpoly,
+    check_symplectic_charpoly,
+    cyclotomic_index,
     factor_over_Z,
-    is_cyclotomic_product,
     is_polynomial_in_x_power,
     is_polynomial_in_x_squared,
-    is_symplectically_irreducible,
+    symplectically_irreducible_factors,
 )
 from .words import (
     FamilyRejection,
@@ -64,19 +65,22 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
 
     strict_power_mode additionally rejects polynomials in x^k for any k >= 2
     (the base criterion tests only x^2). Reducibility over Z is reported as a
-    diagnostic alongside a failure, never on its own.
+    diagnostic alongside a failure, never on its own. Every reason is read
+    off one factorization of chi over Z.
     """
+    check_symplectic_charpoly(chi)
+    factors = factor_over_Z(chi)
     reasons = set()
-    if not is_symplectically_irreducible(chi):
+    if not symplectically_irreducible_factors(factors):
         reasons.add(REASON_NOT_SYMPL_IRRED)
-    if is_cyclotomic_product(chi):
+    if all(cyclotomic_index(f) is not None for f in factors):
         reasons.add(REASON_CYCLOTOMIC)
     if is_polynomial_in_x_squared(chi):
         reasons.add(REASON_X_SQUARED)
     elif strict_power_mode and any(
             is_polynomial_in_x_power(chi, k) for k in range(3, chi.degree + 1)):
         reasons.add(REASON_X_SQUARED)
-    if reasons and len(factor_over_Z(chi)) > 1:
+    if reasons and len(factors) > 1:
         reasons.add(REASON_REDUCIBLE)
     return frozenset(reasons)
 
@@ -100,7 +104,11 @@ class CertReport:
     charpoly: IntPoly
     anosov: TDecomposition | FamilyRejection
     pa: PAVerdict
-    hyperbolic: str  # "yes" | "unknown"
+
+    @property
+    def hyperbolic(self) -> str:
+        """Hyperbolic mapping torus: "yes" iff the PA verdict is certified."""
+        return "yes" if self.pa.certified else "unknown"
 
     @property
     def anosov_certified(self) -> bool:
@@ -111,14 +119,12 @@ def certify_report(word: TwistWord, strict_power_mode: bool = False) -> CertRepo
     matrix = eval_word(word)
     chi = charpoly(matrix.m)
     anosov = validate_family_T(word)
-    pa = _pa_verdict(chi, strict_power_mode)
     return CertReport(
         word=word,
         matrix=matrix,
         charpoly=chi,
         anosov=anosov,
-        pa=pa,
-        hyperbolic="yes" if pa.certified else "unknown",
+        pa=_pa_verdict(chi, strict_power_mode),
     )
 
 

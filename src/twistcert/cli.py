@@ -48,7 +48,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
-MAX_FACTOR_GENUS = DESK_DEGREE_BOUND // 2  # certify and density factor a degree-2g charpoly
+MAX_GENUS = DESK_DEGREE_BOUND // 2  # every subcommand; certify factors a degree-2g charpoly
 
 
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
@@ -424,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.genus < 2:
         return _fail_input("genus must be >= 2")
-    if args.subcommand in ("certify", "density") and args.genus > MAX_FACTOR_GENUS:
-        return _fail_input(f"genus {args.genus} exceeds the factoring bound {MAX_FACTOR_GENUS}")
+    if args.genus > MAX_GENUS:
+        return _fail_input(f"genus {args.genus} exceeds the factoring bound {MAX_GENUS}")
     try:
         return args.func(args)
     except Exception as exc:

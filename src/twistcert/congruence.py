@@ -20,6 +20,9 @@ from .words import CurveLetter, generator_matrix, transvect_rows, transvection, 
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 
+# Longest generator word built; synthesized words grow linearly in the exponent
+MAX_WORD_LETTERS = 2 ** 16
+
 CACHE_ENV_VAR = "TWISTCERT_CACHE"
 _CACHE_MAGIC = b"TWCL"
 _CACHE_VERSION = 1
@@ -284,6 +287,7 @@ class GenWord:
     def __mul__(self, other: GenWord) -> GenWord:
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
+        _check_length(len(self) + len(other))
         return GenWord(self.genus, self.letters + other.letters)
 
     def inverse(self) -> GenWord:
@@ -294,7 +298,13 @@ class GenWord:
     def repeat(self, times: int) -> GenWord:
         if times < 0:
             return self.inverse().repeat(-times)
+        _check_length(len(self) * times)
         return GenWord(self.genus, self.letters * times)
+
+
+def _check_length(letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"word of {letters} letters exceeds the bound {MAX_WORD_LETTERS}")
 
 
 def eval_gen_word(word: GenWord) -> SpMatrix:
@@ -387,7 +397,8 @@ def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
     """Generator word whose literal product equals root_matrix(spec).
 
     Supports t a nonzero multiple of 2^(g-1) (and for V, W any nonzero t);
-    larger multiples are produced by repetition, negatives by inversion.
+    larger multiples are produced by repetition, negatives by inversion. A
+    word longer than MAX_WORD_LETTERS raises ValueError before it is built.
     """
     spec.validate(genus)
     g, t = genus, spec.t

@@ -168,10 +168,13 @@ class SpMatrix:
         return SpMatrix._closed(self.m @ other.m, self.genus)
 
     def inverse(self) -> SpMatrix:
-        # M^T J M = J  implies  M^{-1} = -J M^T J.
-        j = symplectic_form(self.genus)
-        inv = j.scale(-1) @ self.m.transpose() @ j
-        return SpMatrix._closed(inv, self.genus)
+        # M^T J M = J implies M^{-1} = -J M^T J: for M = [[A, B], [C, D]] in
+        # g x g blocks, the signed block transpose [[D^T, -B^T], [-C^T, A^T]].
+        g = self.genus
+        t = tuple(zip(*self.m.rows))  # rows (A^T | C^T), then (B^T | D^T)
+        rows = [r[g:] + tuple(-x for x in r[:g]) for r in t[g:]]
+        rows += [tuple(-x for x in r[g:]) + r[:g] for r in t[:g]]
+        return SpMatrix._closed(IntMatrix(tuple(rows)), g)
 
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()

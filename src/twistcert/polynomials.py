@@ -214,32 +214,19 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return result
 
 
-def cyclotomic_factor_indices(p: IntPoly) -> list[int] | None:
-    """Indices n (with multiplicity) such that p = prod Phi_n, or None.
+def cyclotomic_index(f: IntPoly) -> int | None:
+    """The n with f = Phi_n, or None. Searches n <= 2*deg(f)^2, which covers
+    every candidate since phi(n) >= sqrt(n/2)."""
+    d = f.degree
+    return next((n for n in range(1, 2 * d * d + 1)
+                 if euler_phi(n) == d and cyclotomic_polynomial(n) == f), None)
 
-    Searches n <= 2*deg(p)^2, which covers every candidate since
-    phi(n) >= sqrt(n/2).
-    """
-    if not p.is_monic():
-        raise ValueError("polynomial must be monic")
-    deg = p.degree
-    if deg == 0:
-        return []
-    matched: list[int] = []
-    remaining = p
-    for n in range(1, 2 * deg * deg + 1):
-        if remaining.degree == 0:
-            break
-        if euler_phi(n) > remaining.degree:
-            continue
-        phi_n = cyclotomic_polynomial(n)
-        while remaining.degree >= phi_n.degree:
-            q, r = remaining.monic_divmod(phi_n)
-            if not r.is_zero():
-                break
-            remaining = q
-            matched.append(n)
-    return matched if remaining.degree == 0 else None
+
+def cyclotomic_factor_indices(p: IntPoly) -> list[int] | None:
+    """Sorted indices n (with multiplicity) such that p = prod Phi_n, or
+    None: p is such a product iff each of its irreducible factors is a Phi_n."""
+    indices = [cyclotomic_index(f) for f in factor_over_Z(p)]
+    return None if None in indices else sorted(indices)
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:
@@ -730,13 +717,24 @@ def factor_over_Z_bruteforce(p: IntPoly) -> tuple[IntPoly, ...]:
 # ---------------------------------------------------------------------------
 
 def _reciprocal_up_to_sign(p: IntPoly) -> bool:
-    """True iff the monic-normalized reversal of p equals p."""
-    rev = p.reversed_poly()
-    if rev.degree != p.degree:
-        return False
-    if rev.leading < 0:
-        rev = -rev
-    return rev == p
+    """True iff the reversal of p is p or -p."""
+    return p.reversed_poly() in (p, -p)
+
+
+def check_symplectic_charpoly(p: IntPoly) -> None:
+    """ValueError unless p is monic, reciprocal and of even degree, like the
+    characteristic polynomial of a symplectic matrix."""
+    if not (p.is_monic() and is_reciprocal(p) and p.degree % 2 == 0):
+        raise ValueError("polynomial must be monic, reciprocal and of even degree")
+
+
+def symplectically_irreducible_factors(factors: tuple[IntPoly, ...]) -> bool:
+    """is_symplectically_irreducible, read off the irreducible factors over Z
+    of a monic reciprocal polynomial. A factor reciprocal up to sign splits
+    off with its cofactor; otherwise the factors pair up as f and its
+    reversal f*, and two or more pairs split as f f* times the rest."""
+    return len(factors) <= 1 or (
+        len(factors) == 2 and not _reciprocal_up_to_sign(factors[0]))
 
 
 def is_symplectically_irreducible(p: IntPoly) -> bool:
@@ -746,28 +744,5 @@ def is_symplectically_irreducible(p: IntPoly) -> bool:
     Reversals are sign-normalized to monic before comparison, so (x-1)^2 =
     (x-1)(x-1) counts as reducible. Plain irreducibility implies True.
     """
-    if not p.is_monic():
-        raise ValueError("polynomial must be monic")
-    if not is_reciprocal(p):
-        raise ValueError("polynomial must be reciprocal")
-    if p.degree % 2 != 0:
-        raise ValueError("polynomial must have even degree")
-    factors = factor_over_Z(p)
-    if len(factors) <= 1:
-        return True
-    n = len(factors)
-    # enumerate proper sub-multisets by index subsets; factors are canonical
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for size in range(1, n):
-        for combo in itertools.combinations(range(n), size):
-            key = tuple(factors[i].coeffs for i in combo)
-            if key in seen:
-                continue
-            seen.add(key)
-            f = math.prod((factors[i] for i in combo), start=ONE)
-            if not _reciprocal_up_to_sign(f):
-                continue
-            g = math.prod((factors[i] for i in range(n) if i not in combo), start=ONE)
-            if _reciprocal_up_to_sign(g):
-                return False
-    return True
+    check_symplectic_charpoly(p)
+    return symplectically_irreducible_factors(factor_over_Z(p))

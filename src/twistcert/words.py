@@ -107,7 +107,11 @@ def parse_word(text: str, genus: int) -> TwistWord:
         if m is None:
             raise WordSyntaxError(offset, f"malformed token {token!r}")
         kind, index_text, exp_text = m.groups()
-        index = int(index_text)
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            index, exponent = int(index_text), int(exp_text or 1)
+        except ValueError:
+            raise WordSyntaxError(
+                offset, f"integer too long in a {len(token)}-character token") from None
         if index < 1:
             raise WordSyntaxError(offset, f"curve index must be >= 1 in {token!r}")
         letter = CurveLetter(kind, index)
@@ -117,7 +121,6 @@ def parse_word(text: str, genus: int) -> TwistWord:
                 f"{letter} out of range for genus {genus} "
                 f"(max index {letter.max_index(genus)})",
             )
-        exponent = 1 if exp_text is None else int(exp_text)
         if exponent == 0:
             continue
         letters.append((letter, exponent))

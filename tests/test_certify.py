@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from twistcert.certify import (
     REASON_NOT_SYMPL_IRRED,
     REASON_REDUCIBLE,
     REASON_X_SQUARED,
+    CertReport,
     PAVerdict,
     certify_pa,
     certify_report,
@@ -17,7 +19,7 @@ from twistcert.certify import (
     sample_t_word,
 )
 from twistcert.matrices import SpMatrix
-from twistcert.polynomials import IntPoly, charpoly, cyclotomic_polynomial
+from twistcert.polynomials import IntPoly, charpoly, cyclotomic_polynomial, factor_over_Z
 from twistcert.words import (
     CurveLetter,
     FamilyRejection,
@@ -95,6 +97,29 @@ def test_certify_report_computes_charpoly_once(example_word_text, monkeypatch):
     report = certify_report(parse_word(example_word_text, 2))
     assert len(calls) == 1
     assert report.pa == certify_pa(report.matrix)
+
+
+def test_certify_report_factors_once(monkeypatch):
+    import twistcert.certify as certify
+    import twistcert.polynomials as polynomials
+
+    calls = []
+
+    def counting_factor(p):
+        calls.append(p)
+        return factor_over_Z(p)
+
+    monkeypatch.setattr(certify, "factor_over_Z", counting_factor)
+    monkeypatch.setattr(polynomials, "factor_over_Z", counting_factor)
+    # chi = (x-1)^4: reducible, cyclotomic and symplectically reducible
+    report = certify_report(parse_word("a1", 2))
+    assert len(calls) == 1
+    assert report.pa.reasons == frozenset(
+        {REASON_REDUCIBLE, REASON_CYCLOTOMIC, REASON_NOT_SYMPL_IRRED})
+
+
+def test_hyperbolic_is_derived_from_the_pa_verdict():
+    assert "hyperbolic" not in {f.name for f in dataclasses.fields(CertReport)}
 
 
 def test_certify_report_hat_tau_d():

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -257,6 +258,40 @@ def test_genus_above_factoring_bound_is_input_error(capsys):
     code, _, err = run_cli(capsys, "density", "--genus", "33", "--seed", "1",
                            "--samples", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "a1"), ("plan", "a1"), ("verify-claims",), ("synthesize", "V1"),
+    ("membership", "unread.txt"),
+])
+def test_genus_cap_covers_every_subcommand(capsys, argv):
+    # boundary value only: the cap refuses before any matrix is allocated
+    code, out, err = run_cli(capsys, *argv, "--genus", "33")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the factoring bound 32" in err
+    assert "Traceback" not in err
+
+
+def test_over_long_integer_tokens_are_input_errors(capsys):
+    nines = "9" * 5000
+    for subcommand in ("eval", "certify", "plan"):
+        code, _, err = run_cli(capsys, subcommand, f"a1 a1^{nines}", "--genus", "2")
+        assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 3")
+        code, _, err = run_cli(capsys, subcommand, f"a{nines}", "--genus", "2")
+        assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 0")
+
+
+def test_synthesized_word_length_is_bounded(capsys, tmp_path):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "synthesize", "V1^65537", "--genus", "2")
+    assert (code, out) == (2, "")
+    assert "exceeds the bound 65536" in err
+    path = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=2 ** 40), 3))
+    code, out, err = run_cli(capsys, "membership", path, "--genus", "3")
+    assert (code, out) == (2, "")
+    assert "exceeds the bound 65536" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_uncaught_exception_is_internal_error(capsys, monkeypatch):

@@ -129,6 +129,24 @@ def test_sp_inverse_law_on_random_words():
         assert det(m.m) == 1
 
 
+def test_inverse_is_the_dense_minus_j_mt_j():
+    # the signed block transpose against -J M^T J built from naive products
+    rng = random.Random(13)
+    for g in range(2, 7):
+        j = symplectic_form(g).rows
+        minus_j = tuple(tuple(-x for x in row) for row in j)
+        for _ in range(8):
+            m = SpMatrix.identity(g)
+            for _ in range(rng.randint(1, 16)):
+                kind = rng.choice("abc")
+                top = g if kind in "ab" else g - 1
+                letter = CurveLetter(kind, rng.randint(1, top))
+                m = m @ generator_matrix(letter, g).pow(rng.choice((-2, -1, 1, 2)))
+            dense = naive_product(naive_product(minus_j, m.m.transpose().rows), j)
+            assert m.inverse().m.rows == dense
+            assert (m @ m.inverse()).m.is_identity()
+
+
 def test_mat_pow():
     a1 = gen("a", 1)
     assert mat_pow(a1, 0).is_identity()

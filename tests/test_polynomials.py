@@ -238,3 +238,5 @@ def test_symplectically_irreducible_but_reducible():
     assert is_reciprocal(p)
     assert len(factor_over_Z(p)) == 2
     assert is_symplectically_irreducible(p)
+    # two such pairs split as p * p
+    assert not is_symplectically_irreducible(p * p)

@@ -70,6 +70,17 @@ def test_parse_word_errors_carry_offsets():
     assert err.value.offset == 3
 
 
+def test_parse_word_over_long_integers_carry_offsets():
+    # more digits than int() converts, in the exponent and in the index
+    nines = "9" * 5000
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"a1 b2^-{nines}", 2)
+    assert err.value.offset == 3
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"a1  b{nines}", 2)
+    assert err.value.offset == 4
+
+
 def test_format_parse_round_trip(example_word_text):
     w = parse_word(example_word_text, 2)
     assert format_word(w) == example_word_text
