@@ -14,6 +14,7 @@ import struct
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
 from .words import CurveLetter, generator_matrix, transvect_rows, transvection, transvection_product
@@ -176,8 +177,10 @@ def verify_identities(genus: int) -> IdentityReport:
               twist_gen("A", i, g))
         check(f"w_equals_b_twist_inverse[i={i}]", root_matrix(RootSpec("W", i), g),
               twist_gen("B", i, g).inverse())
+    d = {i: d_matrix(i, g) for i in range(1, g)}  # each D_i built once per call
+    d_inv = {i: m.inverse() for i, m in d.items()}
     for i in range(1, g):
-        check(f"x_up_base[i={i}]", d_matrix(i, g), root_matrix(RootSpec("X", i, i + 1, 2), g))
+        check(f"x_up_base[i={i}]", d[i], root_matrix(RootSpec("X", i, i + 1, 2), g))
     for i in range(2, g + 1):
         check(f"x_down_base[i={i}]", d_prime_matrix(i, g),
               root_matrix(RootSpec("X", i, i - 1, -2), g))
@@ -200,14 +203,14 @@ def verify_identities(genus: int) -> IdentityReport:
             check(f"x_down_step[j={j},l={ell}]", lhs,
                   root_matrix(RootSpec("X", j, j - ell - 1, 2 ** (ell + 1)), g))
     for k in range(2, g + 1):
-        lhs = _commutator(root_matrix(RootSpec("V", k), g), d_matrix(k - 1, g).inverse())
+        lhs = _commutator(root_matrix(RootSpec("V", k), g), d_inv[k - 1])
         lhs = lhs @ root_matrix(RootSpec("V", k - 1, t=4), g)
         check(f"z_base[k={k}]", lhs, root_matrix(RootSpec("Z", k - 1, k, 2), g))
     for k in range(3, g + 1):
         for ell in range(2, k):
             lhs = _commutator(
                 root_matrix(RootSpec("Z", k - ell + 1, k, 2 ** (ell - 1)), g),
-                d_matrix(k - ell, g).inverse())
+                d_inv[k - ell])
             check(f"z_step[k={k},l={ell}]", lhs,
                   root_matrix(RootSpec("Z", k - ell, k, 2 ** ell), g))
 
@@ -463,10 +466,12 @@ def _closure_letters(genus: int) -> list[tuple[str, int, int]]:
     return letters
 
 
-def closure_generators(genus: int = 2) -> list[SpMatrix]:
+@lru_cache(maxsize=None)
+def closure_generators(genus: int = 2) -> tuple[SpMatrix, ...]:
     """The 4g + 2(g-1) group generators with inverses: A_i^{+-1}, B_i^{+-1},
-    C_i^{+-2}."""
-    return [eval_gen_word(GenWord(genus, (letter,))) for letter in _closure_letters(genus)]
+    C_i^{+-2}. Built once per genus; SpMatrix is immutable, so callers share
+    them."""
+    return tuple(eval_gen_word(GenWord(genus, (letter,))) for letter in _closure_letters(genus))
 
 
 def _row_tables(genus: int, modulus: int) -> list[bytes]:

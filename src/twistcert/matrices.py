@@ -15,13 +15,21 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"dimension must be even and >= 4, got {n}")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix is not square")
+
+    @classmethod
+    def _exact(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        # rows already square tuples of ints, as a product of two IntMatrix
+        # values is: skip the coercion
+        m = object.__new__(cls)
+        m.__dict__["rows"] = rows
+        return m
 
     @property
     def dim(self) -> int:
@@ -67,14 +75,22 @@ class IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact integer matrix product."""
+    """Exact integer matrix product, row i of AB as the combination of the
+    rows of B picked out by the nonzero entries of row i of A."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    bt = b.transpose().rows
-    return IntMatrix(tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a.rows
-    ))
+    zero = (0,) * b.dim
+    rows = []
+    for row in a.rows:
+        acc = zero
+        for x, brow in zip(row, b.rows):
+            if x:
+                if acc is zero:
+                    acc = brow if x == 1 else [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        rows.append(tuple(acc))  # a reused row of B or the zero row stays shared
+    return IntMatrix._exact(tuple(rows))
 
 
 def mat_pow(m: IntMatrix, k: int) -> IntMatrix:
@@ -102,13 +118,30 @@ def symplectic_form(genus: int) -> IntMatrix:
 
 
 def sp_check(m: IntMatrix, genus: int | None = None) -> bool:
-    """True iff M^T J M = J exactly."""
+    """True iff M^T J M = J exactly.
+
+    (M^T J M)[a][b] = sum_i M[i][a] M[g+i][b] - M[g+i][a] M[i][b] is the form
+    on columns a and b. It is antisymmetric for every M, so only a < b is
+    accumulated, over pairs of nonzero entries of rows i and g+i, and J is
+    subtracted before the zero test; no product is formed.
+    """
     if genus is None:
         genus = m.dim // 2
-    if m.dim != 2 * genus:
+    n = m.dim
+    if n != 2 * genus:
         return False
-    j = symplectic_form(genus)
-    return m.transpose() @ j @ m == j
+    acc = [0] * (n * n)  # acc[a * n + b] for a < b
+    for i in range(genus):
+        top = [(a, x) for a, x in enumerate(m.rows[i]) if x]
+        bottom = [(b, y) for b, y in enumerate(m.rows[genus + i]) if y]
+        for a, x in top:
+            for b, y in bottom:
+                if a < b:
+                    acc[a * n + b] += x * y
+                elif b < a:
+                    acc[b * n + a] -= x * y
+        acc[i * n + genus + i] -= 1
+    return not any(acc)
 
 
 def det(m: IntMatrix) -> int:
@@ -174,7 +207,7 @@ class SpMatrix:
         t = tuple(zip(*self.m.rows))  # rows (A^T | C^T), then (B^T | D^T)
         rows = [r[g:] + tuple(-x for x in r[:g]) for r in t[g:]]
         rows += [tuple(-x for x in r[g:]) + r[:g] for r in t[:g]]
-        return SpMatrix._closed(IntMatrix(tuple(rows)), g)
+        return SpMatrix._closed(IntMatrix._exact(tuple(rows)), g)
 
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()

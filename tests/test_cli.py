@@ -329,3 +329,46 @@ def test_synthesize_rejects_dangling_caret(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "synthesize", "Z1,2^-4", "--genus", "2")
     assert code == 0
+
+
+def test_repeated_main_calls_carry_no_state(capsys, tmp_path, monkeypatch):
+    # flags and --cache do not leak into the next call, and the per-genus
+    # closure generators shared across calls give the first call's answers
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    cache = tmp_path / "closure.bin"
+    c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
+    a1 = write_matrix(tmp_path, twist_gen("A", 1, 3), "a1.txt")
+    word = "a1^-2 b2^-1 c2^2 b1^-1 a1^-1 a2^-1"  # chi = (x^3 - 1)^2: strict adds a reason
+    calls = [
+        ("certify", word, "--genus", "3", "--strict", "--format", "json"),
+        ("certify", word, "--genus", "3", "--format", "json"),
+        ("membership", c1, "--genus", "2", "--cache", str(cache), "--format", "json"),
+        ("membership", c1, "--genus", "2", "--format", "json"),
+        ("membership", a1, "--genus", "3", "--format", "json"),
+        ("certify", word, "--genus", "3", "--no-such-flag"),
+        ("eval", "a1", "--genus", "2"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def one_round():
+        results = []
+        for argv in calls:
+            results.append(run(argv))
+            if "--cache" in argv:
+                assert cache.exists()
+                cache.unlink()
+        return results
+
+    first = one_round()
+    assert not cache.exists()  # --cache did not carry over into the next call
+    assert [r[0] for r in first] == [1, 1, 1, 1, 0, 2, 0]
+    assert first[0][1] != first[1][1]  # --strict did not carry over either
+    assert json.loads(first[4][1])["verdict"] == "InGamma"
+    assert one_round() == first

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import struct
@@ -466,3 +467,27 @@ def test_gamma_index(closure_table):
     assert index <= 2 ** 64
     with pytest.raises(ValueError):
         gamma_index(3)
+
+
+def test_closure_generators_built_once_per_genus():
+    gens = closure_generators(4)
+    assert isinstance(gens, tuple)
+    assert closure_generators(4) is gens
+    assert len(gens) == 4 * 4 + 2 * 3
+    assert gens[0] == twist_gen("A", 1, 4)
+    assert gens[-1] == twist_gen("C", 3, 4).inverse().pow(2)
+
+
+def test_verify_identities_builds_each_d_once(monkeypatch):
+    import twistcert.congruence as congruence
+
+    built = []
+    real = congruence.d_matrix
+    monkeypatch.setattr(congruence, "d_matrix", lambda i, g: built.append(i) or real(i, g))
+    report = verify_identities(6)
+    assert sorted(built) == [1, 2, 3, 4, 5]
+    # names, order, verdicts and details as before D_i was shared
+    pinned = json.dumps([[c.name, c.passed, c.detail] for c in report.checks])
+    assert len(report.checks) == 84
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "9fd6b3748ff8b16b8c44cc74ae3000fd22b4152d6bc506df2f94a201eb4d7bbd")

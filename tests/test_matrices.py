@@ -72,6 +72,12 @@ def test_mat_mul_agrees_with_naive_oracle():
         a = IntMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4)))
         b = IntMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4)))
         assert mat_mul(a, b).rows == naive_product(a.rows, b.rows)
+    for n in (6, 8, 12):  # sparse to dense: the zero-skipping paths
+        for density in (0.1, 0.4, 1.0):
+            a, b = (IntMatrix(tuple(
+                tuple(rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n))
+                for _ in range(n))) for _ in range(2))
+            assert mat_mul(a, b).rows == naive_product(a.rows, b.rows)
 
 
 def test_sp_check_examples():
@@ -208,3 +214,83 @@ def test_packed_word_canonical_encoding():
         1 << (2 * (4 * i + i)) for i in range(4))
     with pytest.raises(ValueError):
         ModMatrix(tuple((0,) * 4 for _ in range(4)), 512).packed_word()
+
+
+def naive_form(m, g):
+    """Independent oracle: M^T J M as a plain triple sum over J's nonzeros."""
+    n = 2 * g
+    j = {(i, g + i): 1 for i in range(g)} | {(g + i, i): -1 for i in range(g)}
+    return tuple(
+        tuple(sum(m[r][a] * c * m[s][b] for (r, s), c in j.items()) for b in range(n))
+        for a in range(n)
+    )
+
+
+def test_sp_check_agrees_with_naive_form_oracle():
+    rng = random.Random(23)
+    accepted = rejected = 0
+    for g in range(2, 7):
+        j = symplectic_form(g).rows
+        for k in range(40):
+            m = SpMatrix.identity(g)
+            for _ in range(rng.randint(1, 14)):
+                kind = rng.choice("abc")
+                top = g if kind in "ab" else g - 1
+                letter = CurveLetter(kind, rng.randint(1, top))
+                m = m @ generator_matrix(letter, g).pow(rng.choice((-3, -1, 1, 2)))
+            rows = [list(row) for row in m.m.rows]
+            if k % 2:  # perturb one entry
+                rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice((-2, -1, 1, 3))
+            rows = tuple(map(tuple, rows))
+            expected = naive_form(rows, g) == j
+            assert sp_check(IntMatrix(rows), g) is expected
+            assert sp_check(IntMatrix(rows)) is expected
+            accepted += expected
+            rejected += not expected
+    assert accepted >= 100 and rejected >= 80
+    assert not sp_check(IntMatrix.identity(6), 2)  # dimension mismatch
+    assert not sp_check(IntMatrix.identity(4), 3)
+
+
+def test_mat_mul_row_combination_cases():
+    n = 6
+    big = 10 ** 40
+    a = IntMatrix((
+        (0,) * n,                                 # zero row
+        (0, 0, 1, 0, 0, 0),                       # single unit entry: B's row
+        (0, 0, 0, 0, 0, -1),                      # single negative unit entry
+        (0, 3, 0, 0, -7, 0),                      # two entries
+        (big, -big, 0, 1, 0, 2),                  # big integers
+        (0,) * n,
+    ))
+    rng = random.Random(29)
+    b = IntMatrix(tuple(
+        tuple(rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-big, big)))
+              for _ in range(n))
+        for _ in range(n)))
+    product = mat_mul(a, b)
+    assert product.rows == naive_product(a.rows, b.rows)
+    assert product.rows[1] is b.rows[2]           # reused, not copied
+    assert product.rows[0] is product.rows[5]     # one shared zero row
+    assert mat_mul(b, a).rows == naive_product(b.rows, a.rows)
+    zero = IntMatrix(((0,) * n,) * n)
+    assert mat_mul(zero, b) == mat_mul(b, zero) == zero
+
+
+def test_sp_check_forms_no_product(monkeypatch):
+    import twistcert.matrices as matrices
+    from twistcert.words import eval_word, parse_word
+
+    def refuse(a, b):
+        raise AssertionError("sp_check must not multiply matrices")
+
+    word = parse_word("a1^2 b3^-1 c2 a6 b5^3 c5^-2 a4^-1 b6 c1 b2^2 c3 a3", 6)
+    dense = eval_word(word).m
+    monkeypatch.setattr(matrices, "mat_mul", refuse)
+    assert sp_check(dense, 6)
+    assert SpMatrix(dense, 6).m == dense
+    assert eval_word(word).m == dense
+    rows = [list(row) for row in dense.rows]
+    rows[4][7] += 1
+    with pytest.raises(ValueError, match="not symplectic"):
+        SpMatrix(IntMatrix(tuple(map(tuple, rows))), 6)
