@@ -7,7 +7,8 @@ flow (membership in the block family of certifiable words), certifies
 pseudo-Anosov monodromy through the characteristic-polynomial criterion,
 produces the corresponding surgery plans with monodromy round trips, and
 decides membership in the finite-index symplectic subgroup generated by the
-allowed twists via an exact finite-quotient closure at genus 2.
+allowed twists, exactly at genus 2 through a layer certificate of its image
+mod 4.
 """
 
 from .matrices import (

@@ -282,10 +282,10 @@ def cmd_membership(args: argparse.Namespace) -> int:
             witness = parse_gen_word(args.witness, args.genus)
         except ValueError as exc:
             return _fail_input(str(exc))
-    table = quotient_closure(2, args.cache) if args.genus == 2 else None
     try:
+        table = quotient_closure(2, args.cache) if args.genus == 2 else None
         result = membership(matrix, args.genus, witness=witness, table=table)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an unusable cache path
         return _fail_input(str(exc))
     payload = {
         "command": "membership",
@@ -308,7 +308,10 @@ def cmd_membership(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     if args.genus != 2:
         return _fail_input("the exact index computation runs at genus 2")
-    table = quotient_closure(2, args.cache)
+    try:
+        table = quotient_closure(2, args.cache)
+    except OSError as exc:  # an unusable cache path
+        return _fail_input(str(exc))
     index = gamma_index(2, table)
     _emit(
         {

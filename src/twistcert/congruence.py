@@ -9,12 +9,14 @@ multiplying its letters out.
 """
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import islice
 
 from .matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
 from .words import CurveLetter, generator_matrix, transvect_rows, transvection, transvection_product
@@ -454,7 +456,7 @@ def mod2_block_test(m: SpMatrix, genus: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Finite-quotient closure (genus 2, modulus 4)
+# Finite-quotient image (genus 2, modulus 4)
 # ---------------------------------------------------------------------------
 
 def _closure_letters(genus: int) -> list[tuple[str, int, int]]:
@@ -489,20 +491,102 @@ def _row_tables(genus: int, modulus: int) -> list[bytes]:
     return tables
 
 
+# A 4x4 matrix mod 4 packs into 32 bits as in ModMatrix.packed_word: entry
+# (i, c) in bits 2(4i + c) and 2(4i + c) + 1, so row i is byte i. The low bit
+# of every entry is its reduction mod 2, so `key & _LOW_BITS` is the key of
+# the matrix mod 2 in the same layout, and F_2 matrices below use that layout.
+_LOW_BITS = 0x55555555
+_COLUMN_0 = 0x03030303        # entry (i, 0) of every row i
+_IDENTITY_KEY = 0x40100401    # the identity, mod 4 and mod 2 alike
+_LAYER_DIM = 10               # dim sp(4, F_2) = g(2g + 1) at g = 2
+
+
+def _f2_mul(a: int, b: int) -> int:
+    """a b over F_2: row i of the product is the XOR of the rows c of b with
+    a[i][c] = 1."""
+    out = 0
+    while a:
+        low = a & -a
+        a ^= low
+        pos = low.bit_length() - 1                  # 8i + 2c
+        out ^= ((b >> (4 * (pos & 6))) & 0xFF) << (pos & ~7)
+    return out
+
+
+def _f2_symplectic_inverse(h: int) -> int:
+    """J^-1 h^T J mod 2, which is h^-1 when h is symplectic mod 2. Mod 2, J
+    swaps index t with t + g, so entry (i, c) is h[c ^ 2][i ^ 2]."""
+    out = 0
+    for i in range(4):
+        for c in range(4):
+            if h >> (2 * (4 * (c ^ 2) + (i ^ 2))) & 1:
+                out |= 1 << (2 * (4 * i + c))
+    return out
+
+
+def _times(key: int, delta: tuple[tuple[int, int, int], ...]) -> int:
+    """key (I + delta) mod 4, for delta given by its nonzero entries
+    (k, j, v): column j gains v times column k of key."""
+    out = key
+    for k, j, v in delta:
+        column = ((out >> (2 * j)) & _COLUMN_0) + ((key >> (2 * k)) & _COLUMN_0) * v
+        out = out & ~(_COLUMN_0 << (2 * j)) | (column & _COLUMN_0) << (2 * j)
+    return out
+
+
+def _sift(basis: list[int] | tuple[int, ...], x: int) -> int:
+    """x reduced by a basis with distinct leading bits, in decreasing order;
+    0 exactly when x lies in the span."""
+    for b in basis:
+        x = min(x, x ^ b)
+    return x
+
+
 @dataclass(frozen=True)
 class ClosureTable:
-    """The image subgroup inside Sp(4, Z/4) as a hashed set of packed words."""
+    """The image of the subgroup in Sp(4, Z/4) as a layer certificate.
+
+    The image is an extension of H_2, its reduction mod 2, by N, its part in
+    Gamma(2)/Gamma(4). `reps` holds one mod-4 lift per element of H_2, as
+    packed keys; `basis` is an F_2 basis of the layer vectors X of N, whose
+    elements are I + 2X mod 4, with X in the mod-2 key layout.
+    """
 
     genus: int
     modulus: int
-    elements: frozenset[int]
+    reps: tuple[int, ...]
+    basis: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.reps) * 2 ** len(self.basis)
+
+    @cached_property
+    def elements(self) -> frozenset[int]:
+        return frozenset(self._keys())
+
+    def _keys(self) -> list[int]:
+        """Every packed key of the image, coset by coset: (I + 2X) r for the
+        lift r of h is r + 2 X h, which is r XOR (X h moved to the high bits)."""
+        keys = []
+        for rep in self.reps:
+            coset = [rep]
+            for x in self.basis:
+                step = _f2_mul(x, rep & _LOW_BITS) << 1
+                coset += [key ^ step for key in coset]
+            keys += coset
+        return keys
 
     def contains(self, m: SpMatrix) -> bool:
-        return reduce_mod(m.m, self.modulus).packed_word() in self.elements
+        """m mod 2 must be the class of a rep r, and the layer vector of
+        m r^-1 must sift to zero in the basis."""
+        key = reduce_mod(m.m, self.modulus).packed_word()
+        h = key & _LOW_BITS
+        rep = next((r for r in self.reps if r & _LOW_BITS == h), None)
+        if rep is None:
+            return False
+        x = _f2_mul(((key ^ rep) >> 1) & _LOW_BITS, _f2_symplectic_inverse(h))
+        return _sift(self.basis, x) == 0
 
     def recheck_generator_closed(self) -> bool:
         """Full pass: every element times every generator stays inside."""
@@ -511,64 +595,92 @@ class ClosureTable:
                    for table in _row_tables(self.genus, self.modulus))
 
 
-def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
-    """BFS closure of the generator reductions mod 2^(2g-2) under right
-    multiplication. Exact mode is genus 2 (modulus 4, at most |Sp(4,Z/4)| =
-    737280 elements, each packed into 32 bits).
+def _layer_certificate(letters: list[tuple[str, int, int]]) -> ClosureTable:
+    """The image mod 4 of the group generated by the genus-2 closure
+    generators of the given letters.
 
-    cache_path (or the TWISTCERT_CACHE environment variable) names a binary
-    cache with a versioned header; a stale or inconsistent file is rebuilt.
+    A BFS over H_2 keeps the first mod-4 product r reaching each class mod
+    2. Every other product p = r s lands on the class h of an earlier rep r',
+    and the Schreier element p r'^-1 = I + 2X lies in N, with X = D h^-1 mod 2
+    for D = (p - r') / 2. By Schreier's lemma these elements generate N, so
+    the X span its layer, and |image| = |H_2| 2^rank. The layer sp(4, F_2)
+    has dimension 10, so the sifting stops at rank 10; the BFS goes on.
     """
-    if genus != 2:
-        raise ValueError("exact closure mode is implemented for genus 2 only")
-    modulus = 2 ** (2 * genus - 2)
-    if cache_path is None:
-        cache_path = os.environ.get(CACHE_ENV_VAR)
-    if cache_path and os.path.exists(cache_path):
-        cached = _load_closure_cache(cache_path, genus, modulus)
-        if cached is not None:
-            return cached
-
-    tables = _row_tables(genus, modulus)
-    frontier = array("I", [reduce_mod(IntMatrix.identity(2 * genus), modulus).packed_word()])
-    visited = set(frontier)
-    while frontier:
-        raw = frontier.tobytes()
-        fresh = set().union(*(array("I", raw.translate(table)) for table in tables)) - visited
-        visited |= fresh
-        frontier = array("I", fresh)
-
-    table = ClosureTable(genus, modulus, frozenset(visited))
-    if cache_path:
-        _store_closure_cache(cache_path, table)
+    by_letter = dict(zip(_closure_letters(2), closure_generators(2)))
+    deltas = [tuple((k, j, (x - (k == j)) % 4)
+                    for k, row in enumerate(by_letter[letter].m.rows)
+                    for j, x in enumerate(row) if (x - (k == j)) % 4)
+              for letter in letters]
+    reps = [_IDENTITY_KEY]
+    classes = {_IDENTITY_KEY: (_IDENTITY_KEY, _IDENTITY_KEY)}   # h -> (rep, h^-1)
+    basis: list[int] = []
+    for rep in reps:                                            # grows as it runs
+        for delta in deltas:
+            p = _times(rep, delta)
+            h = p & _LOW_BITS
+            if h not in classes:
+                h_inv = _f2_symplectic_inverse(h)
+                # p r'^-1 = I mod 2 for every Schreier element with this r'
+                if _f2_mul(h, h_inv) != _IDENTITY_KEY:
+                    raise ArithmeticError("a closure generator is not symplectic mod 2, "
+                                          "so a Schreier element is not I mod 2")
+                classes[h] = (p, h_inv)
+                reps.append(p)
+            elif len(basis) < _LAYER_DIM:
+                lift, h_inv = classes[h]
+                x = _sift(basis, _f2_mul(((p ^ lift) >> 1) & _LOW_BITS, h_inv))
+                if x:
+                    basis.append(x)
+                    basis.sort(reverse=True)
+    table = ClosureTable(2, 4, tuple(reps), tuple(basis))
+    if sp_group_order_mod(2, 4) % table.size:
+        raise ArithmeticError(f"image size {table.size} does not divide |Sp(4, Z/4)|")
     return table
 
 
-def _load_closure_cache(path: str, genus: int, modulus: int) -> ClosureTable | None:
-    """The cached table, or None on a header mismatch, not exactly `count`
-    keys, a repeated key, no identity or a size not dividing |Sp(2g, Z/q)|.
-    Closure under the generators is not rechecked."""
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) != 20:
-            return None
-        magic, version, g, q, count = struct.unpack("<4sIIII", header)
-        if (magic, version, g, q) != (_CACHE_MAGIC, _CACHE_VERSION, genus, modulus) \
-                or count == 0 or sp_group_order_mod(genus, modulus) % count:
-            return None
-        data = fh.read(4 * count + 1)
-    if len(data) != 4 * count:
-        return None
-    elements = frozenset(struct.unpack(f"<{count}I", data))
-    identity = reduce_mod(IntMatrix.identity(2 * genus), modulus).packed_word()
-    if len(elements) != count or identity not in elements:
-        return None
-    return ClosureTable(genus, modulus, elements)
+def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
+    """The image of the subgroup in Sp(4, Z/4) (genus 2, modulus 4), as a
+    layer certificate built on each call from closure_generators(2).
+
+    cache_path (or the TWISTCERT_CACHE environment variable) names a file the
+    image is exported to: a versioned header, then the sorted packed keys. It
+    is written when missing or not well-formed, and no key read from it is
+    used. OSError says which path could not be used.
+    """
+    if genus != 2:
+        raise ValueError("exact closure mode is implemented for genus 2 only")
+    table = _layer_certificate(_closure_letters(2))
+    if cache_path is None:
+        cache_path = os.environ.get(CACHE_ENV_VAR)
+    if cache_path:
+        try:
+            if not _cache_well_formed(cache_path, table):
+                _store_closure_cache(cache_path, table)
+        except OSError as exc:
+            raise OSError(f"cannot use cache {cache_path}: {exc.strerror or exc}") from exc
+    return table
+
+
+def _cache_well_formed(path: str, table: ClosureTable) -> bool:
+    """The exact header with count = table.size, exactly that many keys after
+    it, each larger than the one before. A missing file is not well-formed."""
+    count = table.size
+    header = struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION, table.genus, table.modulus,
+                         count)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(len(header) + 4 * count + 1)
+    except FileNotFoundError:
+        return False
+    if data[:len(header)] != header or len(data) != len(header) + 4 * count:
+        return False
+    keys = struct.unpack(f"<{count}I", data[len(header):])
+    return all(map(operator.lt, keys, islice(keys, 1, None)))
 
 
 def _store_closure_cache(path: str, table: ClosureTable) -> None:
     """Write the header and sorted keys to a temporary file, then rename it."""
-    keys = sorted(table.elements)
+    keys = sorted(table._keys())
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -200,6 +200,69 @@ def test_index_with_cache(capsys, tmp_path):
     assert json.loads(out2) == payload
 
 
+@pytest.mark.parametrize("caller", ["index", "membership", "env"])
+@pytest.mark.parametrize("kind", ["directory", "under_a_file"])
+def test_unusable_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, caller, kind):
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    path = str(tmp_path) if kind == "directory" else os.devnull + "/x"
+    if caller == "index":
+        argv = ["index", "--cache", path]
+    elif caller == "membership":
+        v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+        argv = ["membership", v14, "--genus", "2", "--cache", path]
+    else:
+        monkeypatch.setenv("TWISTCERT_CACHE", path)
+        argv = ["index"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot use cache {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_well_formed_cache_with_wrong_keys_is_not_read(capsys, tmp_path):
+    # right header and count, increasing keys, none of them the image's: the
+    # file is export-only, so no verdict reads it and it is not rewritten
+    cache = tmp_path / "closure.bin"
+    raw = struct.pack("<4sIIII36864I", b"TWCL", 1, 2, 4, 36864, *range(36864))
+    cache.write_bytes(raw)
+    code, payload, _ = run_json(capsys, "index", "--cache", str(cache))
+    assert (code, payload["image_size"], payload["index"]) == (0, 36864, 20)
+    c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
+    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+    code, payload, _ = run_json(capsys, "membership", c1, "--genus", "2", "--cache", str(cache))
+    assert (code, payload["verdict"]) == (1, "NotInGamma")
+    code, payload, _ = run_json(capsys, "membership", v14, "--genus", "2", "--cache", str(cache))
+    assert (code, payload["verdict"]) == (0, "InGamma")
+    assert cache.read_bytes() == raw
+
+
+def test_index_and_membership_never_run_the_bfs(capsys, tmp_path, monkeypatch):
+    import twistcert.congruence as congruence
+
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
+    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+
+    def outputs(name):
+        cache = str(tmp_path / name)
+        results = []
+        for argv in (["index"], ["index", "--cache", cache], ["index", "--cache", cache],
+                     ["membership", c1, "--genus", "2"],
+                     ["membership", v14, "--genus", "2", "--cache", cache]):
+            for fmt in ("human", "json"):
+                results.append(run_cli(capsys, *argv, "--format", fmt))
+        return results, (tmp_path / name).read_bytes()
+
+    expected = outputs("plain.bin")
+
+    def no_bfs(*args):
+        raise AssertionError("the BFS row tables were built")
+
+    monkeypatch.setattr(congruence, "_row_tables", no_bfs)
+    assert outputs("patched.bin") == expected
+
+
 def test_index_rebuilds_one_key_cache(capsys, tmp_path):
     # a valid header holding only key 0 (not even the identity)
     cache = tmp_path / "closure.bin"

@@ -10,6 +10,7 @@ from array import array
 
 import pytest
 
+from twistcert import congruence
 from twistcert.congruence import (
     IN_GAMMA,
     NOT_IN_GAMMA,
@@ -264,6 +265,84 @@ def test_closure_matches_pure_python_bfs(closure_table):
                 seen.add(key)
                 queue.append(nxt)
     assert seen == set(closure_table.elements)
+
+
+def _bfs_image(gens):
+    # right-multiplication BFS over ModMatrix products, as in the test above
+    from collections import deque
+
+    start = reduce_mod(IntMatrix.identity(4), 4)
+    seen = {start.packed_word()}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for gen in gens:
+            nxt = current @ gen
+            if nxt.packed_word() not in seen:
+                seen.add(nxt.packed_word())
+                queue.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("dropped, size", [
+    ({"C"}, 36 * 2 ** 6),          # SL_2(Z/4)^2: the C_1^2 layer directions are missing
+    ({"B", "C"}, 16),              # A_1, A_2: two commuting elements of order 4
+    ({"A"}, 4 * 2 ** 6),           # B_1, B_2, C_1^2
+])
+def test_layer_certificate_matches_bfs_on_letter_subsets(dropped, size):
+    letters = [l for l in congruence._closure_letters(2) if l[0] not in dropped]
+    table = congruence._layer_certificate(letters)
+    by_letter = dict(zip(congruence._closure_letters(2), closure_generators(2)))
+    image = _bfs_image([reduce_mod(by_letter[l].m, 4) for l in letters])
+    assert table.size == len(image) == size
+    assert table.elements == image
+    assert len(table.basis) < 10
+    # contains agrees with the BFS set on words over all ten letters; C_1^2
+    # is I mod 2, so words with it reach classes in H_2 whose layer vector
+    # the sift must reject
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(150):
+        m = eval_gen_word(random_gen_word(rng, 2, rng.randint(1, 8)))
+        key = reduce_mod(m.m, 4).packed_word()
+        in_h2 = any(r & 0x55555555 == key & 0x55555555 for r in table.reps)
+        assert table.contains(m) == (key in image)
+        outcomes.add((key in image, in_h2))
+    assert (True, True) in outcomes and (False, True) in outcomes
+
+
+def test_certificate_invariants_survive_optimize():
+    # a generator that is not symplectic mod 2 gives a rep with no mod-2
+    # inverse, so some Schreier element is not I mod 2; and an image size not
+    # dividing the group order is refused. Both are explicit raises.
+    script = textwrap.dedent("""
+        import types
+        import twistcert.congruence as c
+        from twistcert.matrices import IntMatrix
+        closure_generators = c.closure_generators
+        gens = list(closure_generators(2))
+        corrupt = IntMatrix.from_unit_entries(4, {(1, 2): 1})  # I + E_12, not symplectic
+        gens[0] = types.SimpleNamespace(m=corrupt, genus=2)
+        c.closure_generators = lambda genus=2: tuple(gens)
+        try:
+            c.quotient_closure(2)
+        except ArithmeticError as exc:
+            if "not I mod 2" not in str(exc):
+                raise SystemExit(f"raised by another check: {exc}")
+        else:
+            raise SystemExit("corrupted generator accepted")
+        c.closure_generators = closure_generators
+        c.sp_group_order_mod = lambda genus, modulus: 737280 * 3 + 1
+        try:
+            c.quotient_closure(2)
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit("size not dividing the group order accepted")
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_full_twist_group_covers_sp4_mod4():
