@@ -19,7 +19,6 @@ from .matrices import (
     mat_mul,
     reduce_mod,
     sp_check,
-    sp_inverse,
     symplectic_form,
 )
 from .polynomials import (
@@ -27,7 +26,6 @@ from .polynomials import (
     charpoly,
     cyclotomic_polynomial,
     factor_over_Z,
-    factor_over_Z_bruteforce,
     is_cyclotomic_product,
     is_polynomial_in_x_squared,
     is_reciprocal,
@@ -89,9 +87,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntMatrix", "ModMatrix", "SpMatrix", "det", "mat_mul", "reduce_mod",
-    "sp_check", "sp_inverse", "symplectic_form",
+    "sp_check", "symplectic_form",
     "IntPoly", "charpoly", "cyclotomic_polynomial", "factor_over_Z",
-    "factor_over_Z_bruteforce", "is_cyclotomic_product",
+    "is_cyclotomic_product",
     "is_polynomial_in_x_squared", "is_reciprocal",
     "is_symplectically_irreducible",
     "CurveLetter", "FamilyRejection", "TBlock", "TDecomposition", "TwistWord",

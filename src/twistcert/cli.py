@@ -13,7 +13,6 @@ import sys
 
 from .certify import certify_report, density_experiment
 from .congruence import (
-    GenWord,
     IN_GAMMA,
     NOT_IN_GAMMA,
     RootSpec,
@@ -34,7 +33,6 @@ from .surgery import monodromy_from_plan, plan_as_json_dict, plan_from_T_word
 from .words import (
     FamilyRejection,
     TDecomposition,
-    WordSyntaxError,
     eval_word,
     format_word,
     parse_word,
@@ -49,14 +47,6 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 MAX_GENUS = DESK_DEGREE_BOUND // 2  # every subcommand; certify factors a degree-2g charpoly
-
-
-def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        sys.stdout.write("\n".join(human_lines) + "\n")
 
 
 def _matrix_rows(m: SpMatrix) -> list[list[int]]:
@@ -80,6 +70,19 @@ class CliInputError(ValueError):
     pass
 
 
+Outcome = tuple[int, dict, list[str]]  # exit code, JSON payload, human lines
+
+
+def _input(fn, *args):
+    """Run one step that reads user input; its ValueError or OSError (an
+    unusable path) is an input error, exit 2. Computations are not wrapped,
+    so their exceptions stay internal errors."""
+    try:
+        return fn(*args)
+    except (ValueError, OSError) as exc:
+        raise CliInputError(str(exc)) from exc
+
+
 def _read_matrix_file(path: str, genus: int) -> SpMatrix:
     try:
         with open(path) as fh:
@@ -92,47 +95,29 @@ def _read_matrix_file(path: str, genus: int) -> SpMatrix:
         raise CliInputError(f"cannot read matrix from {path}: {exc}")
 
 
-def _fail_input(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_INPUT
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        word = parse_word(args.word, args.genus)
-    except WordSyntaxError as exc:
-        return _fail_input(str(exc))
+def cmd_eval(args: argparse.Namespace) -> Outcome:
+    word = _input(parse_word, args.word, args.genus)
     matrix = eval_word(word)
     chi = charpoly(matrix.m)
-    _emit(
-        {
-            "command": "eval",
-            "genus": args.genus,
-            "word": format_word(word),
-            "matrix": _matrix_rows(matrix),
-            "charpoly": list(chi.coeffs),
-        },
-        args.format,
-        [
-            f"word: {format_word(word) or '(empty)'}",
-            "matrix:",
-            *_matrix_lines(matrix),
-            f"charpoly: {chi}",
-        ],
-    )
-    return EXIT_OK
+    payload = {
+        "word": format_word(word),
+        "matrix": _matrix_rows(matrix),
+        "charpoly": list(chi.coeffs),
+    }
+    lines = [
+        f"word: {format_word(word) or '(empty)'}",
+        "matrix:",
+        *_matrix_lines(matrix),
+        f"charpoly: {chi}",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        word = parse_word(args.word, args.genus)
-    except WordSyntaxError as exc:
-        return _fail_input(str(exc))
+def cmd_certify(args: argparse.Namespace) -> Outcome:
+    word = _input(parse_word, args.word, args.genus)
     report = certify_report(word, strict_power_mode=args.strict)
     anosov_ok = report.anosov_certified
     payload = {
-        "command": "certify",
-        "genus": args.genus,
         "word": format_word(word),
         "matrix": _matrix_rows(report.matrix),
         "charpoly": list(report.charpoly.coeffs),
@@ -159,32 +144,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
                  + (f" ({', '.join(report.pa.sorted_reasons())})"
                     if report.pa.reasons else ""))
     lines.append(f"hyperbolic mapping torus: {report.hyperbolic}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK if anosov_ok else EXIT_NEGATIVE
+    return (EXIT_OK if anosov_ok else EXIT_NEGATIVE), payload, lines
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        word = parse_word(args.word, args.genus)
-    except WordSyntaxError as exc:
-        return _fail_input(str(exc))
+def cmd_plan(args: argparse.Namespace) -> Outcome:
+    word = _input(parse_word, args.word, args.genus)
     dec = validate_family_T(word)
     if isinstance(dec, FamilyRejection):
-        _emit(
-            {"command": "plan", "genus": args.genus, "word": format_word(word),
-             "accepted": False,
-             "rejection": {"position": dec.position, "reason": dec.reason}},
-            args.format,
-            [f"not a family product: {dec}"],
-        )
-        return EXIT_NEGATIVE
+        return (EXIT_NEGATIVE,
+                {"word": format_word(word), "accepted": False,
+                 "rejection": {"position": dec.position, "reason": dec.reason}},
+                [f"not a family product: {dec}"])
     plan = plan_from_T_word(dec)
     reassembled = monodromy_from_plan(plan)
     round_trip = eval_word(reassembled) == eval_word(word) and \
         validate_family_T(reassembled) == dec
     payload = {
-        "command": "plan",
-        "genus": args.genus,
         "word": format_word(word),
         "accepted": True,
         "plan": plan_as_json_dict(plan),
@@ -199,15 +174,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 f"twist {op.orbit.twist} index k={op.index_k} order l={op.order_l}")
     lines.append(f"monodromy after surgeries: {format_word(reassembled) or '(empty)'}")
     lines.append(f"round trip: {'ok' if round_trip else 'FAILED'}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_verify_claims(args: argparse.Namespace) -> int:
+def cmd_verify_claims(args: argparse.Namespace) -> Outcome:
     report = verify_identities(args.genus)
     payload = {
-        "command": "verify-claims",
-        "genus": args.genus,
         "all_passed": report.all_passed,
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -220,8 +192,7 @@ def cmd_verify_claims(args: argparse.Namespace) -> int:
         lines.append(f"{status}  {c.name}" + (f"  [{c.detail}]" if c.detail else ""))
     lines.append(f"{'all identities pass' if report.all_passed else 'FAILURES present'} "
                  f"({len(report.checks)} checks)")
-    _emit(payload, args.format, lines)
-    return EXIT_OK if report.all_passed else EXIT_NEGATIVE
+    return (EXIT_OK if report.all_passed else EXIT_NEGATIVE), payload, lines
 
 
 def _parse_root_spec(text: str, genus: int) -> RootSpec:
@@ -244,118 +215,74 @@ def _parse_root_spec(text: str, genus: int) -> RootSpec:
     return spec
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    try:
-        spec = _parse_root_spec(args.spec, args.genus)
-        word = synthesize_root(spec, args.genus)
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    target = root_matrix(spec, args.genus)
-    verified = eval_gen_word(word) == target
-    _emit(
-        {
-            "command": "synthesize",
-            "genus": args.genus,
-            "spec": str(spec),
-            "word": format_gen_word(word),
-            "length": len(word),
-            "verified": verified,
-        },
-        args.format,
-        [
-            f"spec: {spec}",
-            f"word ({len(word)} letters): {format_gen_word(word)}",
-            f"verified by evaluation: {'yes' if verified else 'NO'}",
-        ],
-    )
-    return EXIT_OK if verified else EXIT_NEGATIVE
-
-
-def cmd_membership(args: argparse.Namespace) -> int:
-    try:
-        matrix = _read_matrix_file(args.matrix_file, args.genus)
-    except CliInputError as exc:
-        return _fail_input(str(exc))
-    witness = None
-    if args.witness:
-        try:
-            witness = parse_gen_word(args.witness, args.genus)
-        except ValueError as exc:
-            return _fail_input(str(exc))
-    try:
-        table = quotient_closure(2, args.cache) if args.genus == 2 else None
-        result = membership(matrix, args.genus, witness=witness, table=table)
-    except (OSError, ValueError) as exc:  # OSError: an unusable cache path
-        return _fail_input(str(exc))
+def cmd_synthesize(args: argparse.Namespace) -> Outcome:
+    spec = _input(_parse_root_spec, args.spec, args.genus)
+    word = _input(synthesize_root, spec, args.genus)
+    verified = eval_gen_word(word) == root_matrix(spec, args.genus)
     payload = {
-        "command": "membership",
-        "genus": args.genus,
-        "verdict": result.verdict,
-        "detail": result.detail,
+        "spec": str(spec),
+        "word": format_gen_word(word),
+        "length": len(word),
+        "verified": verified,
     }
+    lines = [
+        f"spec: {spec}",
+        f"word ({len(word)} letters): {format_gen_word(word)}",
+        f"verified by evaluation: {'yes' if verified else 'NO'}",
+    ]
+    return (EXIT_OK if verified else EXIT_NEGATIVE), payload, lines
+
+
+VERDICT_EXIT = {IN_GAMMA: EXIT_OK, NOT_IN_GAMMA: EXIT_NEGATIVE, UNKNOWN: EXIT_UNKNOWN}
+
+
+def cmd_membership(args: argparse.Namespace) -> Outcome:
+    matrix = _read_matrix_file(args.matrix_file, args.genus)
+    witness = _input(parse_gen_word, args.witness, args.genus) if args.witness else None
+    table = _input(quotient_closure, 2, args.cache) if args.genus == 2 else None
+    result = _input(membership, matrix, args.genus, witness, table)
+    payload = {"verdict": result.verdict, "detail": result.detail}
     lines = [f"verdict: {result.verdict} ({result.detail})"]
     if result.witness is not None:
         payload["witness"] = format_gen_word(result.witness)
         lines.append(f"witness: {format_gen_word(result.witness) or '(empty word)'}")
-    _emit(payload, args.format, lines)
-    if result.verdict == IN_GAMMA:
-        return EXIT_OK
-    if result.verdict == NOT_IN_GAMMA:
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+    return VERDICT_EXIT[result.verdict], payload, lines
 
 
-def cmd_index(args: argparse.Namespace) -> int:
+def cmd_index(args: argparse.Namespace) -> Outcome:
     if args.genus != 2:
-        return _fail_input("the exact index computation runs at genus 2")
-    try:
-        table = quotient_closure(2, args.cache)
-    except OSError as exc:  # an unusable cache path
-        return _fail_input(str(exc))
+        raise CliInputError("the exact index computation runs at genus 2")
+    table = _input(quotient_closure, 2, args.cache)
     index = gamma_index(2, table)
-    _emit(
-        {
-            "command": "index",
-            "genus": 2,
-            "modulus": table.modulus,
-            "image_size": table.size,
-            "index": index,
-        },
-        args.format,
-        [
-            f"quotient image size mod {table.modulus}: {table.size}",
-            f"[Sp(4,Z) : Gamma] = {index}",
-        ],
-    )
-    return EXIT_OK
+    payload = {"modulus": table.modulus, "image_size": table.size, "index": index}
+    lines = [
+        f"quotient image size mod {table.modulus}: {table.size}",
+        f"[Sp(4,Z) : Gamma] = {index}",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def cmd_density(args: argparse.Namespace) -> int:
+def cmd_density(args: argparse.Namespace) -> Outcome:
     if args.samples < 1 or args.blocks < 1 or args.bound < 0:
-        return _fail_input("need samples >= 1, blocks >= 1, bound >= 0")
+        raise CliInputError("need samples >= 1, blocks >= 1, bound >= 0")
     result = density_experiment(args.genus, args.blocks, args.samples,
                                 args.bound, args.seed)
-    _emit(
-        {
-            "command": "density",
-            "genus": result.genus,
-            "blocks": result.block_count,
-            "samples": result.samples,
-            "bound": result.exponent_bound,
-            "seed": result.seed,
-            "certified": result.certified,
-            "fraction": result.fraction,
-            "reason_counts": result.reason_counts,
-        },
-        args.format,
-        [
-            f"certified {result.certified}/{result.samples} "
-            f"(fraction {result.fraction:.4f})",
-            "failure reasons: " + (", ".join(
-                f"{k}={v}" for k, v in result.reason_counts.items()) or "none"),
-        ],
-    )
-    return EXIT_OK
+    payload = {
+        "blocks": result.block_count,
+        "samples": result.samples,
+        "bound": result.exponent_bound,
+        "seed": result.seed,
+        "certified": result.certified,
+        "fraction": result.fraction,
+        "reason_counts": result.reason_counts,
+    }
+    lines = [
+        f"certified {result.certified}/{result.samples} "
+        f"(fraction {result.fraction:.4f})",
+        "failure reasons: " + (", ".join(
+            f"{k}={v}" for k, v in result.reason_counts.items()) or "none"),
+    ]
+    return EXIT_OK, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,70 +294,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, genus_default: int | None = None) -> None:
-        if genus_default is None:
-            p.add_argument("--genus", type=int, required=True)
-        else:
-            p.add_argument("--genus", type=int, default=genus_default)
+    def command(name, func, help, positional=None, positional_help=None, genus=None,
+                **options):
+        """Each option is --NAME with add_argument keywords; --genus is
+        required unless a default is given."""
+        p = sub.add_parser(name, help=help)
+        if positional:
+            p.add_argument(positional, help=positional_help)
+        for flag, kwargs in options.items():
+            p.add_argument(f"--{flag}", **kwargs)
+        p.add_argument("--genus", type=int, required=genus is None, default=genus)
         p.add_argument("--format", choices=("human", "json"), default="human")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("eval", help="evaluate a twist word on homology")
-    p.add_argument("word")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("certify", help="full certification report for a word")
-    p.add_argument("word")
-    p.add_argument("--strict", action="store_true",
-                   help="also reject characteristic polynomials in x^k, k >= 3")
-    common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("plan", help="surgery plan and monodromy round trip")
-    p.add_argument("word")
-    common(p)
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("verify-claims", help="machine-check the generation identities")
-    common(p)
-    p.set_defaults(func=cmd_verify_claims)
-
-    p = sub.add_parser("synthesize", help="generator word for a root element")
-    p.add_argument("spec", help="e.g. V1, W2, X1,3, Z1,2^4 (default exponent 2^(g-1))")
-    common(p)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("membership", help="membership verdict for a matrix file")
-    p.add_argument("matrix_file", help="one row per line, whitespace-separated integers")
-    p.add_argument("--witness", help="generator word certifying membership")
-    p.add_argument("--cache", help="closure cache file (overrides TWISTCERT_CACHE)")
-    common(p)
-    p.set_defaults(func=cmd_membership)
-
-    p = sub.add_parser("index", help="index of the subgroup in Sp(4,Z)")
-    p.add_argument("--cache", help="closure cache file (overrides TWISTCERT_CACHE)")
-    common(p, genus_default=2)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("density", help="certified fraction over random family words")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--bound", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_density)
-
+    cache = {"help": "closure cache file (overrides TWISTCERT_CACHE)"}
+    command("eval", cmd_eval, "evaluate a twist word on homology", "word")
+    command("certify", cmd_certify, "full certification report for a word", "word",
+            strict={"action": "store_true",
+                    "help": "also reject characteristic polynomials in x^k, k >= 3"})
+    command("plan", cmd_plan, "surgery plan and monodromy round trip", "word")
+    command("verify-claims", cmd_verify_claims, "machine-check the generation identities")
+    command("synthesize", cmd_synthesize, "generator word for a root element", "spec",
+            "e.g. V1, W2, X1,3, Z1,2^4 (default exponent 2^(g-1))")
+    command("membership", cmd_membership, "membership verdict for a matrix file",
+            "matrix_file", "one row per line, whitespace-separated integers",
+            witness={"help": "generator word certifying membership"}, cache=cache)
+    command("index", cmd_index, "index of the subgroup in Sp(4,Z)", genus=2, cache=cache)
+    command("density", cmd_density, "certified fraction over random family words",
+            seed={"type": int, "required": True}, samples={"type": int, "required": True},
+            blocks={"type": int, "default": 2}, bound={"type": int, "default": 2})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: the one place that adds command and genus to the
+    payload, emits it, and maps exceptions to exit 2 (input) or 4 (internal)."""
     args = build_parser().parse_args(argv)
-    if args.genus < 2:
-        return _fail_input("genus must be >= 2")
-    if args.genus > MAX_GENUS:
-        return _fail_input(f"genus {args.genus} exceeds the factoring bound {MAX_GENUS}")
     try:
-        return args.func(args)
+        if args.genus < 2:
+            raise CliInputError("genus must be >= 2")
+        if args.genus > MAX_GENUS:
+            raise CliInputError(f"genus {args.genus} exceeds the factoring bound {MAX_GENUS}")
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            payload = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
+                       "genus": args.genus, **payload}
+            sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        else:
+            sys.stdout.write("\n".join(lines) + "\n")
+        return code
+    except CliInputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
     except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL

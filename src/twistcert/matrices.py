@@ -201,8 +201,9 @@ class SpMatrix:
         return SpMatrix._closed(self.m @ other.m, self.genus)
 
     def inverse(self) -> SpMatrix:
-        # M^T J M = J implies M^{-1} = -J M^T J: for M = [[A, B], [C, D]] in
-        # g x g blocks, the signed block transpose [[D^T, -B^T], [-C^T, A^T]].
+        """Exact symplectic inverse via M^{-1} = -J M^T J."""
+        # for M = [[A, B], [C, D]] in g x g blocks, the signed block
+        # transpose [[D^T, -B^T], [-C^T, A^T]]
         g = self.genus
         t = tuple(zip(*self.m.rows))  # rows (A^T | C^T), then (B^T | D^T)
         rows = [r[g:] + tuple(-x for x in r[:g]) for r in t[g:]]
@@ -212,11 +213,6 @@ class SpMatrix:
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()
         return SpMatrix._closed(mat_pow(base.m, abs(k)), self.genus)
-
-
-def sp_inverse(m: SpMatrix) -> SpMatrix:
-    """Exact symplectic inverse via M^{-1} = -J M^T J."""
-    return m.inverse()
 
 
 def _is_power_of_two(q: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -8,7 +9,14 @@ import time
 import pytest
 
 from twistcert.cli import main
-from twistcert.congruence import RootSpec, quotient_closure, root_matrix, twist_gen
+from twistcert.congruence import (
+    RootSpec,
+    eval_gen_word,
+    parse_gen_word,
+    quotient_closure,
+    root_matrix,
+    twist_gen,
+)
 
 
 def run_cli(capsys, *argv):
@@ -370,6 +378,20 @@ def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("name, argv", [("certify_report", ("certify", "a1")),
+                                        ("verify_identities", ("verify-claims",))])
+def test_library_value_error_is_internal_error(capsys, monkeypatch, name, argv):
+    # only the parse steps of a subcommand turn a ValueError into exit 2
+    import twistcert.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run_cli(capsys, *argv, "--genus", "2")
+    assert (code, out, err) == (4, "", "internal error: ValueError: boom\n")
+
+
 def test_non_symplectic_matrix_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
@@ -435,3 +457,181 @@ def test_repeated_main_calls_carry_no_state(capsys, tmp_path, monkeypatch):
     assert first[0][1] != first[1][1]  # --strict did not carry over either
     assert json.loads(first[4][1])["verdict"] == "InGamma"
     assert one_round() == first
+
+
+# Golden corpus: every subcommand, its verdicts and its error paths, pinned
+# as sha256 of (exit code, stdout, stderr) with the temp directory replaced
+# by "TMP", once per output format.
+GOLDEN_ARGV = {
+    "eval": ("eval", EXAMPLE, "--genus", "2"),
+    "eval-empty": ("eval", "", "--genus", "2"),
+    "eval-bad-word": ("eval", "a1 c3", "--genus", "2"),
+    "eval-long-token": ("eval", "a1 a1^" + "9" * 5000, "--genus", "2"),
+    "eval-genus-1": ("eval", "a1", "--genus", "1"),
+    "eval-genus-40": ("eval", "a1", "--genus", "40"),
+    "certify": ("certify", EXAMPLE, "--genus", "2"),
+    "certify-negative": ("certify", "a1", "--genus", "2"),
+    "certify-base": ("certify", "d1^-2 d2^-2", "--genus", "3"),
+    "certify-strict": ("certify", "a1^-2 b2^-1 c2^2 b1^-1 a1^-1 a2^-1", "--genus", "3",
+                       "--strict"),
+    "certify-bad-word": ("certify", "z1", "--genus", "2"),
+    "certify-genus-40": ("certify", "a1 b1", "--genus", "40"),
+    "plan": ("plan", EXAMPLE, "--genus", "2"),
+    "plan-b-power": ("plan", "d1^-2 b2^-3", "--genus", "2"),
+    "plan-rejection": ("plan", "b1", "--genus", "2"),
+    "plan-bad-word": ("plan", "a1^", "--genus", "2"),
+    "verify-claims": ("verify-claims", "--genus", "3"),
+    "verify-claims-genus-1": ("verify-claims", "--genus", "1"),
+    "synthesize": ("synthesize", "X1,2", "--genus", "2"),
+    "synthesize-v": ("synthesize", "V1", "--genus", "2"),
+    "synthesize-bad-spec": ("synthesize", "Q1", "--genus", "2"),
+    "synthesize-bad-exponent": ("synthesize", "X1,2^3", "--genus", "2"),
+    "synthesize-dangling-caret": ("synthesize", "V1^", "--genus", "2"),
+    "synthesize-too-long": ("synthesize", "V1^65537", "--genus", "2"),
+    "membership-out": ("membership", "{c1}", "--genus", "2"),
+    "membership-in": ("membership", "{v14}", "--genus", "2"),
+    "membership-cache": ("membership", "{v14}", "--genus", "2", "--cache", "{tmp}/c.bin"),
+    "membership-witness": ("membership", "{a1}", "--genus", "3", "--witness", "A1"),
+    "membership-wrong-witness": ("membership", "{a1}", "--genus", "3", "--witness", "B1"),
+    "membership-bad-witness": ("membership", "{a1}", "--genus", "3", "--witness", "A1 Q2"),
+    "membership-root": ("membership", "{x13}", "--genus", "3"),
+    "membership-unknown": ("membership", "{mystery}", "--genus", "3"),
+    "membership-too-long": ("membership", "{huge}", "--genus", "3"),
+    "membership-bad-matrix": ("membership", "{ragged}", "--genus", "2"),
+    "membership-not-symplectic": ("membership", "{shear}", "--genus", "2"),
+    "membership-missing-file": ("membership", "{tmp}/missing.txt", "--genus", "2"),
+    "membership-cache-dir": ("membership", "{v14}", "--genus", "2", "--cache", "{tmp}"),
+    "index": ("index",),
+    "index-cache": ("index", "--cache", "{tmp}/c.bin"),
+    "index-cache-dir": ("index", "--cache", "{tmp}"),
+    "index-cache-under-file": ("index", "--cache", os.devnull + "/x"),
+    "index-genus-3": ("index", "--genus", "3"),
+    "density": ("density", "--genus", "2", "--seed", "5", "--samples", "10"),
+    "density-no-samples": ("density", "--genus", "2", "--seed", "1", "--samples", "0"),
+    "density-no-blocks": ("density", "--genus", "2", "--seed", "1", "--samples", "5",
+                          "--blocks", "0"),
+    "density-genus-40": ("density", "--genus", "40", "--seed", "1", "--samples", "1"),
+}
+
+GOLDEN_SHA256 = {  # name -> (human, json)
+    "eval": ("ccc8a3b6a6f2da3c3baf9b6fe49b5db211c5bf5b339192a52c4a9a67d5811f1b",
+             "e9eef27e66f9b0358e851b07bf56c2cbb191fc7d21406d14f9e86d41534269e7"),
+    "eval-empty": ("982763d5333a4f076f1b65a6ab4127b341aa9f25549ee01db138fccfc0bf2b9f",
+                   "ce79c7047a7657f97ebcd211c31c2fb1d8a06d8eb3f4c6b58b1a508ac3147244"),
+    "eval-bad-word": ("c27599412e8f3534217dd36a30ffd6586032977cab0dc3f6607d1160863afff8",
+                      "c27599412e8f3534217dd36a30ffd6586032977cab0dc3f6607d1160863afff8"),
+    "eval-long-token": ("2f32dc84f489660fc18ba56325994fac2d4c611350f2c5c47d699a49b1ecf321",
+                        "2f32dc84f489660fc18ba56325994fac2d4c611350f2c5c47d699a49b1ecf321"),
+    "eval-genus-1": ("bc9de16259ae954997c5a5c6afaaca5da47369390a085ff07f2c0e634674d054",
+                     "bc9de16259ae954997c5a5c6afaaca5da47369390a085ff07f2c0e634674d054"),
+    "eval-genus-40": ("c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae",
+                      "c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae"),
+    "certify": ("33548d454ee7340462f5bd239bda98b997aed5166205a08a4a026677c9674ac1",
+                "7f0345dfd0c2963734dd04b24cb1ce0f0f1021ca52d081c51e3939b80acf2a99"),
+    "certify-negative": ("24b399fd79e937a221972dd608365b2bcd6c96d711723ca19881731384e69e3e",
+                         "375c0cbf22d7a96c06b0612ce6b084e28cb3906df0a0936edd9a672d3d560427"),
+    "certify-base": ("08a93af6c0c5e7c4bfe891d084e4ab63f1b9ed81ea06da845e7d22a81d20b203",
+                     "936e1674f06561cd0efacb47c61c92e2206c373e01199fe579df59ef4e545f76"),
+    "certify-strict": ("707d4b5435826e61c1e517e2414de3ea402cd5910a6563cca3a6fd24114e08b0",
+                       "89b7d0502f1d99807d55e38df732108d4e7a9265f4866d9481e52730c09bca36"),
+    "certify-bad-word": ("3d21170b45b1997c9ae23d5554ebb0f14b6d70e4b66ef6f14b72907eed516355",
+                         "3d21170b45b1997c9ae23d5554ebb0f14b6d70e4b66ef6f14b72907eed516355"),
+    "certify-genus-40": ("c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae",
+                         "c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae"),
+    "plan": ("62f14f6fe168a819d47c05859b823898c431b3f2c2f07d541da8ef3933ecadfb",
+             "adcf082ae4c43b74d75d4394e9465f86636f10eb606e2824be29249d24ae59bc"),
+    "plan-b-power": ("abdcb5ed7319bbb00a010b999ba76e70b3c9e8a24cfe699a9b0291aec5509fb5",
+                     "fb221cce770ee4792c71817ce774149235cdd328b0c82071b92fc8af3e292f3e"),
+    "plan-rejection": ("0a3dd7cda8310dad25b5ba1c4042cb44f79797d6b01bcaa758e5af86ddfca3f2",
+                       "2cc0841c82ac35be3a361d6b779db97328af8e394254225bd8fe163f52238696"),
+    "plan-bad-word": ("9263b845721cf8fa8f6f379af2a3618dd6b282f7b280a86db001e9fc38b925ac",
+                      "9263b845721cf8fa8f6f379af2a3618dd6b282f7b280a86db001e9fc38b925ac"),
+    "verify-claims": ("0fb644cae6571a18bc407f3be9e7df149a01e61445d4234801e162c35d9d8b32",
+                      "3044a9ed6a1767fd7a5e349f160e07dbcc7a1fe9327d03b94ee927f10c0270b9"),
+    "verify-claims-genus-1": ("bc9de16259ae954997c5a5c6afaaca5da47369390a085ff07f2c0e634674d054",
+                              "bc9de16259ae954997c5a5c6afaaca5da47369390a085ff07f2c0e634674d054"),
+    "synthesize": ("9b654cf6c42075f636c110f0ba2b6fe0370a6687a659ab381811813e0b880aca",
+                   "0419970c9e3c7bf8932b40a8840c5887803b0d3e4ad619ddda539229b5969cc4"),
+    "synthesize-v": ("f93ffeb455f4be6b11d015460c9bdc5486c1d29d82af701790dc1382df6f7ddc",
+                     "58124bbe4f6e508514fc481fda76e442f2b49199800997085eceb47c2b6ffdeb"),
+    "synthesize-bad-spec": ("241284a8573d5bc1c681fed35957c810c5fc9fba0d3ab9f0981b14fbaa7a73e5",
+                            "241284a8573d5bc1c681fed35957c810c5fc9fba0d3ab9f0981b14fbaa7a73e5"),
+    "synthesize-bad-exponent": ("f0b287929d85613cdc831957c1bce0b082c98de133e9b7e2b3fd74eedc7565c2",
+                                "f0b287929d85613cdc831957c1bce0b082c98de133e9b7e2b3fd74eedc7565c2"),
+    "synthesize-dangling-caret": ("a3f631c25bed56ea4ba3c921f96377d771411a499172ced55b9958cc69922064",
+                                  "a3f631c25bed56ea4ba3c921f96377d771411a499172ced55b9958cc69922064"),
+    "synthesize-too-long": ("601430fa292ad59f5bf9c26dae1a0c851137d6bdc823e8da392ca917b07c17c0",
+                            "601430fa292ad59f5bf9c26dae1a0c851137d6bdc823e8da392ca917b07c17c0"),
+    "membership-out": ("5ca739085ab45b91ef1e154bf937999482c914dc765257e9a8cfa75627aebdb2",
+                       "99d598a21a6d0c68443ad5a7b303ff9520880b81f63c6fbe1d17d5a63e7d62d1"),
+    "membership-in": ("a42a76a6b232a61682f81ed354e0cc553e29c5cc51185a1cc0e53b56ed22c041",
+                      "7e56f4acaddfcc0330bd773dd321cc9f160c8093122f0ef66a5ea344ccb0f7d1"),
+    "membership-cache": ("a42a76a6b232a61682f81ed354e0cc553e29c5cc51185a1cc0e53b56ed22c041",
+                         "7e56f4acaddfcc0330bd773dd321cc9f160c8093122f0ef66a5ea344ccb0f7d1"),
+    "membership-witness": ("46a3647b5f69a6e2ef128e05f8fe9486ff04afb8fb6fd14924e1d856cd55722d",
+                           "2894821b4b1a43467da80f83dbb3b114fced1bd784212baf36d35888cdbaad6b"),
+    "membership-wrong-witness": ("8a6db7ab51a0d9b428529f252366f387729452931f80649de85332c1e4c34211",
+                                 "8a6db7ab51a0d9b428529f252366f387729452931f80649de85332c1e4c34211"),
+    "membership-bad-witness": ("25e4364a0b28fd7f995282ff17c470788b2a9dc994d12bc743fc158b8f55fdb7",
+                               "25e4364a0b28fd7f995282ff17c470788b2a9dc994d12bc743fc158b8f55fdb7"),
+    "membership-root": ("726f0f70b1c6d1ef0c1b69f8a6349de07148864643bb18ef48a1b9d84cc1c72f",
+                        "01af6a3327bf580b14d466004656bb6ba8275dc76ab56bedb71915272f8aac5b"),
+    "membership-unknown": ("aaf792d5435c3d06dd81a3772160fb06d8a7a252a0dfbaf6d5f6bbc4cf0e8c9b",
+                           "6ef1732b453de3764a5116338fca9929ef0adfa3266f8af7fba753e993d2b35c"),
+    "membership-too-long": ("ea61422d6b5adc3c8a244b8a4e509df86b6a5a693d3a4cc02a566933f7cfa08f",
+                            "ea61422d6b5adc3c8a244b8a4e509df86b6a5a693d3a4cc02a566933f7cfa08f"),
+    "membership-bad-matrix": ("a681aa43f7805e96827c0d211fc45d50a80f14685fb20f3b4e279fe1ebacec81",
+                              "a681aa43f7805e96827c0d211fc45d50a80f14685fb20f3b4e279fe1ebacec81"),
+    "membership-not-symplectic": ("833a062d897d540af302940be3aec69a64a05e34c78ba93a24fe2af9c7e966f8",
+                                  "833a062d897d540af302940be3aec69a64a05e34c78ba93a24fe2af9c7e966f8"),
+    "membership-missing-file": ("31915b5a856c6af49e509bad213de3455491ae69d64037b86a8a3b0d90b2d6dc",
+                                "31915b5a856c6af49e509bad213de3455491ae69d64037b86a8a3b0d90b2d6dc"),
+    "membership-cache-dir": ("7018e43a246915d9721564cf7da259dcdb6a78989378f6cf374c4ac53c89d024",
+                             "7018e43a246915d9721564cf7da259dcdb6a78989378f6cf374c4ac53c89d024"),
+    "index": ("05799d783511d78d0a74929e4e12b8b33a8361691f0e9d6bd9c7233d8c1176a6",
+              "b2efba8fd68a4081d210280220c3a4331d73bec387da9c05febc5129c0a760f9"),
+    "index-cache": ("05799d783511d78d0a74929e4e12b8b33a8361691f0e9d6bd9c7233d8c1176a6",
+                    "b2efba8fd68a4081d210280220c3a4331d73bec387da9c05febc5129c0a760f9"),
+    "index-cache-dir": ("7018e43a246915d9721564cf7da259dcdb6a78989378f6cf374c4ac53c89d024",
+                        "7018e43a246915d9721564cf7da259dcdb6a78989378f6cf374c4ac53c89d024"),
+    "index-cache-under-file": ("ad5f053cee24091a3b4e6e6c324ebb5b9a2f0eb4db71e708b3dc6c254e8571b4",
+                               "ad5f053cee24091a3b4e6e6c324ebb5b9a2f0eb4db71e708b3dc6c254e8571b4"),
+    "index-genus-3": ("f8564f9a8d06cb01ad465ac89206dc812d2d19b8a1dc6a2b6c6b34895c4729bf",
+                      "f8564f9a8d06cb01ad465ac89206dc812d2d19b8a1dc6a2b6c6b34895c4729bf"),
+    "density": ("bbf493cbe6213d290aeb87094414c09ef00dd6f3bb9fc271b6d5a60579d616d4",
+                "9f3d899f056d08f8f68c67170da8c1268d4beb47ea6f0b391ea2f522d889550d"),
+    "density-no-samples": ("0cd5169c5bf9874ae8c5a2c8fc8c1a4a678443c00434f866bc42aac29bd61407",
+                           "0cd5169c5bf9874ae8c5a2c8fc8c1a4a678443c00434f866bc42aac29bd61407"),
+    "density-no-blocks": ("0cd5169c5bf9874ae8c5a2c8fc8c1a4a678443c00434f866bc42aac29bd61407",
+                          "0cd5169c5bf9874ae8c5a2c8fc8c1a4a678443c00434f866bc42aac29bd61407"),
+    "density-genus-40": ("c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae",
+                         "c0bdde8697eaf933d14f78962fd16f5a0a8695cc84e3c02eab92e2e3118eefae"),
+}
+
+
+def golden_digest(capsys, tmp_path, argv, fmt):
+    files = {
+        "c1": twist_gen("C", 1, 2),
+        "v14": root_matrix(RootSpec("V", 1, t=4), 2),
+        "a1": twist_gen("A", 1, 3),
+        "x13": root_matrix(RootSpec("X", 1, 3, t=4), 3),
+        "mystery": eval_gen_word(parse_gen_word("A1 B2 A1 C1^2 B3^-1", 3)),
+        "huge": root_matrix(RootSpec("V", 1, t=2 ** 40), 3),
+    }
+    paths = {name: write_matrix(tmp_path, m, f"{name}.txt") for name, m in files.items()}
+    for name, text in (("ragged", "1 2 3\n4 5 6\n"),
+                       ("shear", "1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.txt")
+    paths["tmp"] = str(tmp_path)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv), "--format", fmt)
+    record = json.dumps([code, out, err]).replace(str(tmp_path), "TMP")
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_golden_corpus(capsys, tmp_path, monkeypatch, name, fmt):
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    digest = golden_digest(capsys, tmp_path, GOLDEN_ARGV[name], fmt)
+    assert digest == GOLDEN_SHA256[name][fmt == "json"]

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -13,13 +17,14 @@ from twistcert.polynomials import (
     cyclotomic_polynomial,
     euler_phi,
     factor_over_Z,
-    factor_over_Z_bruteforce,
     is_cyclotomic_product,
     is_polynomial_in_x_power,
     is_polynomial_in_x_squared,
     is_reciprocal,
     is_symplectically_irreducible,
 )
+
+from brute_force_factor import factor_over_Z_bruteforce
 
 EXAMPLE_CHI = IntPoly((1, 1, -2, 1, 1))  # x^4 + x^3 - 2x^2 + x + 1
 
@@ -240,3 +245,22 @@ def test_symplectically_irreducible_but_reducible():
     assert is_symplectically_irreducible(p)
     # two such pairs split as p * p
     assert not is_symplectically_irreducible(p * p)
+
+
+def test_cyclotomic_division_check_survives_optimize():
+    # a lower factor that leaves a remainder must raise, not be skipped with
+    # an assert, so the check still runs under python -O
+    script = textwrap.dedent("""
+        import twistcert.polynomials as p
+        exact = p.cyclotomic_polynomial
+        p.cyclotomic_polynomial = lambda n: p.IntPoly((1, 1)) if n == 1 else exact(n)
+        try:
+            phi = exact(3)
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit(f"cyclotomic_polynomial(3) returned {phi}")
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
