@@ -87,7 +87,7 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
 
 def certify_pa(m: SpMatrix, strict_power_mode: bool = False) -> PAVerdict:
     """One-sided pseudo-Anosov certificate from the homology action."""
-    return _pa_verdict(charpoly(m.m), strict_power_mode)
+    return _pa_verdict(charpoly(m), strict_power_mode)
 
 
 def _pa_verdict(chi: IntPoly, strict_power_mode: bool) -> PAVerdict:
@@ -117,7 +117,7 @@ class CertReport:
 
 def certify_report(word: TwistWord, strict_power_mode: bool = False) -> CertReport:
     matrix = eval_word(word)
-    chi = charpoly(matrix.m)
+    chi = charpoly(matrix)
     anosov = validate_family_T(word)
     return CertReport(
         word=word,

