@@ -6,6 +6,11 @@ exact genus-2 finite-quotient membership test, and the index computation.
 Generator words evaluate in literal (written) product order, unlike twist
 words; every synthesized certificate is independently re-checkable by
 multiplying its letters out.
+
+The identity checks hold each matrix as its sparse delta M - I. A root
+element is I + N with at most two entries in N, so products (A + B + AB) and
+inverses (-J A^T J, a signed permutation of the nonzeros) of such deltas stay
+small, and no dense matrix is formed unless an identity fails.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 
 from .matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
-from .words import CurveLetter, generator_matrix, transvect_rows, transvection, transvection_product
+from .words import CurveLetter, generator_matrix, transvection_product
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 
@@ -85,23 +90,26 @@ class RootSpec:
         return f"{self.kind}{indices}^{self.t}"
 
 
-def root_matrix(spec: RootSpec, genus: int) -> SpMatrix:
-    """The displayed one-parameter subgroup matrix at exponent t."""
+def _root_entries(spec: RootSpec, genus: int) -> dict[tuple[int, int], int]:
+    """The at most two off-identity entries of the displayed root element,
+    as {(row, col): value} with 1-based indices."""
     spec.validate(genus)
     g, t = genus, spec.t
     i, j = spec.i, spec.j
-    n = 2 * g
     if spec.kind == "V":
-        m = IntMatrix.from_unit_entries(n, {(i, g + i): t})
-    elif spec.kind == "W":
-        m = IntMatrix.from_unit_entries(n, {(g + i, i): t})
-    elif spec.kind == "X":
-        m = IntMatrix.from_unit_entries(n, {(i, j): t, (g + j, g + i): -t})
-    elif spec.kind == "Y":
-        m = IntMatrix.from_unit_entries(n, {(g + i, j): t, (g + j, i): t})
-    else:
-        m = IntMatrix.from_unit_entries(n, {(i, g + j): t, (j, g + i): t})
-    return SpMatrix(m, genus)
+        return {(i, g + i): t}
+    if spec.kind == "W":
+        return {(g + i, i): t}
+    if spec.kind == "X":
+        return {(i, j): t, (g + j, g + i): -t}
+    if spec.kind == "Y":
+        return {(g + i, j): t, (g + j, i): t}
+    return {(i, g + j): t, (j, g + i): t}
+
+
+def root_matrix(spec: RootSpec, genus: int) -> SpMatrix:
+    """The displayed one-parameter subgroup matrix at exponent t."""
+    return SpMatrix(IntMatrix.from_unit_entries(2 * genus, _root_entries(spec, genus)), genus)
 
 
 def rotation_matrix(i: int, genus: int) -> SpMatrix:
@@ -125,8 +133,70 @@ def d_prime_matrix(i: int, genus: int) -> SpMatrix:
     return eval_gen_word(_d_prime_word(i, genus))
 
 
-def _commutator(p: SpMatrix, q: SpMatrix) -> SpMatrix:
-    return p @ q @ p.inverse() @ q.inverse()
+# ---------------------------------------------------------------------------
+# Sparse deltas
+# ---------------------------------------------------------------------------
+
+# A delta is M - I for a matrix M, held as {row: {col: value}} over its
+# nonzero entries with 0-based indices. Root elements have at most two, and
+# their products and inverses stay about as sparse.
+Delta = dict[int, dict[int, int]]
+
+
+def _delta(m: SpMatrix) -> Delta:
+    """M - I of a certified matrix."""
+    out: Delta = {}
+    for r, row in enumerate(m.m.rows):
+        entries = {c: x - (r == c) for c, x in enumerate(row) if x != (r == c)}
+        if entries:
+            out[r] = entries
+    return out
+
+
+def _root_delta(spec: RootSpec, genus: int) -> Delta:
+    """The root element's delta, read from its at most two entries."""
+    out: Delta = {}
+    for (r, c), t in _root_entries(spec, genus).items():
+        out.setdefault(r - 1, {})[c - 1] = t
+    return out
+
+
+def _delta_mul(a: Delta, b: Delta) -> Delta:
+    """(I + A)(I + B) - I = A + B + AB."""
+    out = {r: dict(row) for r, row in a.items()}
+    for r, row in b.items():
+        acc = out.setdefault(r, {})
+        for c, y in row.items():
+            acc[c] = acc.get(c, 0) + y
+    for r, row in a.items():
+        acc = out[r]
+        for k, x in row.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+    return {r: kept for r, row in out.items() if (kept := {c: x for c, x in row.items() if x})}
+
+
+def _delta_inverse(a: Delta, genus: int) -> Delta:
+    """(I + A)^-1 - I = -J A^T J for I + A symplectic: entry (r, c) moves to
+    (c', r'), where x' swaps the halves (x +- g), and changes sign when r and
+    c lie in different halves."""
+    n = 2 * genus
+    out: Delta = {}
+    for r, row in a.items():
+        for c, x in row.items():
+            flip = (r < genus) != (c < genus)
+            out.setdefault((c + genus) % n, {})[(r + genus) % n] = -x if flip else x
+    return out
+
+
+def _delta_diff(lhs: Delta, rhs: Delta, dim: int) -> str:
+    """The dense difference of the two matrices, as a failure detail."""
+    rows = [[0] * dim for _ in range(dim)]
+    for sign, delta in ((1, lhs), (-1, rhs)):
+        for r, row in delta.items():
+            for c, x in row.items():
+                rows[r][c] += sign * x
+    return f"difference rows {tuple(map(tuple, rows))}"
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +223,14 @@ class IdentityReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _matrix_diff(lhs: SpMatrix, rhs: SpMatrix) -> str:
-    diff = lhs.m.add(rhs.m.scale(-1))
-    return f"difference rows {diff.rows}"
-
-
 def verify_identities(genus: int) -> IdentityReport:
     """Machine-check every matrix identity behind the generation argument.
+
+    Each side of an identity is held as a sparse delta M - I: root elements
+    from their at most two entries, products as A + B + AB, inverses as
+    -J A^T J. D_i, D'_i, theta and the rotations are evaluated as certified
+    matrices once and converted. An identity holds when the two deltas are
+    equal; a failing one records the dense difference of its sides.
 
     The chain-relation identity is evaluated in both multiplication orders and
     under both readings of the c-twist symbol (the displayed matrix and its
@@ -170,66 +241,61 @@ def verify_identities(genus: int) -> IdentityReport:
     g = genus
     checks: list[IdentityCheck] = []
 
-    def check(name: str, lhs: SpMatrix, rhs: SpMatrix) -> None:
+    def check(name: str, lhs: Delta, rhs: Delta) -> None:
         ok = lhs == rhs
-        checks.append(IdentityCheck(name, ok, "" if ok else _matrix_diff(lhs, rhs)))
+        checks.append(IdentityCheck(name, ok, "" if ok else _delta_diff(lhs, rhs, 2 * g)))
+
+    def root(kind: str, i: int, j: int = 0, t: int = 1) -> Delta:
+        return _root_delta(RootSpec(kind, i, j, t), g)
+
+    def inv(a: Delta) -> Delta:
+        return _delta_inverse(a, g)
+
+    def commutator(p: Delta, q: Delta) -> Delta:
+        return _delta_mul(_delta_mul(_delta_mul(p, q), inv(p)), inv(q))
 
     for i in range(1, g + 1):
-        check(f"v_equals_a_twist[i={i}]", root_matrix(RootSpec("V", i), g),
-              twist_gen("A", i, g))
-        check(f"w_equals_b_twist_inverse[i={i}]", root_matrix(RootSpec("W", i), g),
-              twist_gen("B", i, g).inverse())
-    d = {i: d_matrix(i, g) for i in range(1, g)}  # each D_i built once per call
-    d_inv = {i: m.inverse() for i, m in d.items()}
+        check(f"v_equals_a_twist[i={i}]", root("V", i), _delta(twist_gen("A", i, g)))
+        check(f"w_equals_b_twist_inverse[i={i}]", root("W", i),
+              _delta(twist_gen("B", i, g).inverse()))
+    d = {i: _delta(d_matrix(i, g)) for i in range(1, g)}  # each D_i built once per call
+    d_inv = {i: inv(x) for i, x in d.items()}
     for i in range(1, g):
-        check(f"x_up_base[i={i}]", d[i], root_matrix(RootSpec("X", i, i + 1, 2), g))
+        check(f"x_up_base[i={i}]", d[i], root("X", i, i + 1, 2))
     for i in range(2, g + 1):
-        check(f"x_down_base[i={i}]", d_prime_matrix(i, g),
-              root_matrix(RootSpec("X", i, i - 1, -2), g))
+        check(f"x_down_base[i={i}]", _delta(d_prime_matrix(i, g)), root("X", i, i - 1, -2))
     for j in range(1, g):
         for ell in range(1, g):
             if not j < j + ell <= g - 1:
                 continue
-            lhs = _commutator(
-                root_matrix(RootSpec("X", j, j + ell, 2 ** ell), g),
-                root_matrix(RootSpec("X", j + ell, j + ell + 1, 2), g))
-            check(f"x_up_step[j={j},l={ell}]", lhs,
-                  root_matrix(RootSpec("X", j, j + ell + 1, 2 ** (ell + 1)), g))
+            lhs = commutator(root("X", j, j + ell, 2 ** ell), root("X", j + ell, j + ell + 1, 2))
+            check(f"x_up_step[j={j},l={ell}]", lhs, root("X", j, j + ell + 1, 2 ** (ell + 1)))
     for j in range(2, g + 1):
         for ell in range(1, g):
             if not 2 <= j - ell < j or j - ell - 1 < 1:
                 continue
-            lhs = _commutator(
-                root_matrix(RootSpec("X", j, j - ell, 2 ** ell), g),
-                root_matrix(RootSpec("X", j - ell, j - ell - 1, 2), g))
-            check(f"x_down_step[j={j},l={ell}]", lhs,
-                  root_matrix(RootSpec("X", j, j - ell - 1, 2 ** (ell + 1)), g))
+            lhs = commutator(root("X", j, j - ell, 2 ** ell), root("X", j - ell, j - ell - 1, 2))
+            check(f"x_down_step[j={j},l={ell}]", lhs, root("X", j, j - ell - 1, 2 ** (ell + 1)))
     for k in range(2, g + 1):
-        lhs = _commutator(root_matrix(RootSpec("V", k), g), d_inv[k - 1])
-        lhs = lhs @ root_matrix(RootSpec("V", k - 1, t=4), g)
-        check(f"z_base[k={k}]", lhs, root_matrix(RootSpec("Z", k - 1, k, 2), g))
+        lhs = _delta_mul(commutator(root("V", k), d_inv[k - 1]), root("V", k - 1, t=4))
+        check(f"z_base[k={k}]", lhs, root("Z", k - 1, k, 2))
     for k in range(3, g + 1):
         for ell in range(2, k):
-            lhs = _commutator(
-                root_matrix(RootSpec("Z", k - ell + 1, k, 2 ** (ell - 1)), g),
-                d_inv[k - ell])
-            check(f"z_step[k={k},l={ell}]", lhs,
-                  root_matrix(RootSpec("Z", k - ell, k, 2 ** ell), g))
+            lhs = commutator(root("Z", k - ell + 1, k, 2 ** (ell - 1)), d_inv[k - ell])
+            check(f"z_step[k={k},l={ell}]", lhs, root("Z", k - ell, k, 2 ** ell))
 
-    theta = eval_gen_word(_theta_word(g))
-    check("rotations_give_form_matrix", theta, SpMatrix(symplectic_form(g), g))
+    theta = _delta(eval_gen_word(_theta_word(g)))
+    theta_inv = inv(theta)
+    check("rotations_give_form_matrix", theta, _delta(SpMatrix(symplectic_form(g), g)))
     for jj in range(1, g + 1):
         for kk in range(jj + 1, g + 1):
-            lhs = theta @ root_matrix(RootSpec("Z", jj, kk), g).inverse() @ theta.inverse()
-            check(f"y_from_z_conjugation[j={jj},k={kk}]", lhs,
-                  root_matrix(RootSpec("Y", jj, kk), g))
+            lhs = _delta_mul(_delta_mul(theta, inv(root("Z", jj, kk))), theta_inv)
+            check(f"y_from_z_conjugation[j={jj},k={kk}]", lhs, root("Y", jj, kk))
     for i in range(1, g + 1):
-        rot = rotation_matrix(i, g)
-        expected = IntMatrix.from_unit_entries(2 * g, {
-            (i, i): -1, (g + i, g + i): -1,          # clear the two diagonal 1s
-            (g + i, i): -1, (i, g + i): 1,           # e_i -> -e_{g+i}, e_{g+i} -> e_i
-        })
-        check(f"quarter_turn[i={i}]", rot, SpMatrix(expected, g))
+        # e_i -> -e_{g+i}, e_{g+i} -> e_i: the two diagonal 1s cleared
+        a, b = i - 1, g + i - 1
+        check(f"quarter_turn[i={i}]", _delta(rotation_matrix(i, g)),
+              {a: {a: -1, b: 1}, b: {a: -1, b: -1}})
 
     for i in range(1, g):
         checks.append(_chain_relation_check(i, g))
@@ -286,6 +352,13 @@ class GenWord:
             else:
                 raise ValueError(f"unknown generator kind {kind!r}")
 
+    @classmethod
+    def _exact(cls, genus: int, letters: tuple[tuple[str, int, int], ...]) -> GenWord:
+        # letters already validated, as those of GenWord values are: skip the check
+        word = object.__new__(cls)
+        word.__dict__.update(genus=genus, letters=letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -293,10 +366,10 @@ class GenWord:
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
         _check_length(len(self) + len(other))
-        return GenWord(self.genus, self.letters + other.letters)
+        return GenWord._exact(self.genus, self.letters + other.letters)
 
     def inverse(self) -> GenWord:
-        return GenWord(self.genus, tuple(
+        return GenWord._exact(self.genus, tuple(
             (kind, index, -exponent) for kind, index, exponent in reversed(self.letters)
         ))
 
@@ -304,7 +377,7 @@ class GenWord:
         if times < 0:
             return self.inverse().repeat(-times)
         _check_length(len(self) * times)
-        return GenWord(self.genus, self.letters * times)
+        return GenWord._exact(self.genus, self.letters * times)
 
 
 def _check_length(letters: int) -> None:
@@ -315,7 +388,12 @@ def _check_length(letters: int) -> None:
 def eval_gen_word(word: GenWord) -> SpMatrix:
     """Literal product order: eval(x_1 ... x_n) = M(x_1) ... M(x_n)."""
     return transvection_product(word.genus, (
-        (CurveLetter(kind.lower(), index), exponent) for kind, index, exponent in word.letters))
+        (_curve(kind, index), exponent) for kind, index, exponent in word.letters))
+
+
+@lru_cache(maxsize=None)
+def _curve(kind: str, index: int) -> CurveLetter:
+    return CurveLetter(kind.lower(), index)
 
 
 def format_gen_word(word: GenWord) -> str:
@@ -482,11 +560,12 @@ def _row_tables(genus: int, modulus: int) -> list[bytes]:
     table right-multiplies every key by G."""
     bits = (modulus - 1).bit_length()
     tables = []
-    for kind, index, exponent in _closure_letters(genus):
+    for gen in closure_generators(genus):
+        cols = tuple(zip(*gen.m.rows))
         rows = [[(byte >> (bits * j)) & (modulus - 1) for j in range(2 * genus)]
                 for byte in range(256)]
-        transvect_rows(rows, *transvection(CurveLetter(kind.lower(), index), genus), exponent)
-        tables.append(bytes(sum((x % modulus) << (bits * j) for j, x in enumerate(row))
+        tables.append(bytes(sum((sum(map(operator.mul, row, col)) % modulus) << (bits * j)
+                                for j, col in enumerate(cols))
                             for row in rows))
     return tables
 
@@ -714,10 +793,7 @@ class MembershipVerdict:
 def _match_root_pattern(m: SpMatrix) -> RootSpec | None:
     """Recognize m as a one-parameter root element; None if no family fits."""
     g = m.genus
-    n = 2 * g
-    delta = m.m.add(IntMatrix.identity(n).scale(-1))
-    nonzero = [(r + 1, c + 1, x) for r, row in enumerate(delta.rows)
-               for c, x in enumerate(row) if x]
+    nonzero = [(r + 1, c + 1, x) for r, row in _delta(m).items() for c, x in row.items()]
     if len(nonzero) == 1:
         r, c, t = nonzero[0]
         if c == g + r:

@@ -5,12 +5,19 @@ A word is written left to right in application order; its homology matrix is
 therefore the product of the letter matrices in reverse written order. This
 convention is pinned by an anchor test reproducing a known 4x4 matrix exactly
 (the forward product yields a different matrix).
+
+Every letter matrix is a rank-1 transvection I + u w^T with w^T u = 0, so a
+product is built column by column: a letter rebuilds only the one or two
+columns in supp(w), and a run of one letter is applied once, as one power.
+Twist words (eval_word) and generator words share this one kernel.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .matrices import IntMatrix, SpMatrix
@@ -155,22 +162,33 @@ def transvection(letter: CurveLetter, genus: int) -> tuple[Sparse, Sparse]:
     return (), ()
 
 
-def transvect_rows(rows: list[list[int]], u: Sparse, w: Sparse, e: int) -> None:
-    """rows <- rows (I + e u w^T) in place: each row r <- r + e (r.u) w^T."""
-    for r in rows:
-        s = e * sum(r[k] * c for k, c in u)
-        if s:
-            for k, c in w:
-                r[k] += s * c
-
-
 def transvection_product(genus: int, letters: Iterable[tuple[CurveLetter, int]]) -> SpMatrix:
     """M(x_1)^e_1 ... M(x_k)^e_k for the (x, e) pairs in the given order,
-    certified symplectic once."""
-    rows = [list(row) for row in IntMatrix.identity(2 * genus).rows]
-    for letter, exponent in letters:
-        transvect_rows(rows, *transvection(letter, genus), exponent)
-    return SpMatrix(IntMatrix(tuple(map(tuple, rows))), genus)
+    certified symplectic once.
+
+    The product is kept as columns. Right-multiplying M by I + e u w^T adds
+    e (M u) w^T, so only the columns in supp(w) change, each by a multiple of
+    M u. Runs of one letter merge first: w^T u = 0 makes powers add, and a
+    run whose exponents total zero is skipped."""
+    n = 2 * genus
+    cols = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        col[j] = 1
+    for letter, run in groupby(letters, key=itemgetter(0)):
+        e = sum(exponent for _, exponent in run)
+        u, w = transvection(letter, genus)
+        if not (e and u):                   # a zero total, or a d letter
+            continue
+        if len(u) == 1:                     # a and b letters
+            ((k, a),) = u
+            mu, e = cols[k], e * a
+        else:                               # c letters
+            (k, a), (l, b) = u
+            mu = [a * x + b * y for x, y in zip(cols[k], cols[l])]
+        for j, c in w:
+            s = e * c
+            cols[j] = [x + s * y for x, y in zip(cols[j], mu)]
+    return SpMatrix(IntMatrix._exact(tuple(zip(*cols))), genus)
 
 
 @lru_cache(maxsize=None)

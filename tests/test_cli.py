@@ -341,6 +341,19 @@ def test_certify_at_the_genus_cap(capsys):
     assert charpoly(IntMatrix(tuple(map(tuple, payload["matrix"])))) == chi
 
 
+def test_verify_claims_at_the_genus_cap(capsys):
+    # 2112 identities at g = 32 within a generous wall bound; the bytes are
+    # those recorded before the checks moved to sparse deltas
+    start = time.perf_counter()
+    code = main(["verify-claims", "--genus", "32", "--format", "json"])
+    out = capsys.readouterr().out
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert len(json.loads(out)["checks"]) == 2112
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3fefc58fb8fee9354e18e526c73fb5ed7809585897196876ed8414df9b04ca8a")
+
+
 def test_genus_above_factoring_bound_is_input_error(capsys):
     # boundary value only: the cap refuses genus 33 before any work
     code, _, err = run_cli(capsys, "certify", "a1 b1", "--genus", "33")
