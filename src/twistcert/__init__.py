@@ -13,11 +13,9 @@ mod 4.
 
 from .matrices import (
     IntMatrix,
-    ModMatrix,
     SpMatrix,
     det,
     mat_mul,
-    reduce_mod,
     sp_check,
     symplectic_form,
 )
@@ -86,8 +84,7 @@ from .congruence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "ModMatrix", "SpMatrix", "det", "mat_mul", "reduce_mod",
-    "sp_check", "symplectic_form",
+    "IntMatrix", "SpMatrix", "det", "mat_mul", "sp_check", "symplectic_form",
     "IntPoly", "charpoly", "cyclotomic_polynomial", "factor_over_Z",
     "is_cyclotomic_product",
     "is_polynomial_in_x_squared", "is_reciprocal",

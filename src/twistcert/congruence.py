@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 
-from .matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
+from .matrices import IntMatrix, SpMatrix, symplectic_form
 from .words import CurveLetter, generator_matrix, transvection_product
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
@@ -265,15 +265,11 @@ def verify_identities(genus: int) -> IdentityReport:
     for i in range(2, g + 1):
         check(f"x_down_base[i={i}]", _delta(d_prime_matrix(i, g)), root("X", i, i - 1, -2))
     for j in range(1, g):
-        for ell in range(1, g):
-            if not j < j + ell <= g - 1:
-                continue
+        for ell in range(1, g - j):
             lhs = commutator(root("X", j, j + ell, 2 ** ell), root("X", j + ell, j + ell + 1, 2))
             check(f"x_up_step[j={j},l={ell}]", lhs, root("X", j, j + ell + 1, 2 ** (ell + 1)))
     for j in range(2, g + 1):
-        for ell in range(1, g):
-            if not 2 <= j - ell < j or j - ell - 1 < 1:
-                continue
+        for ell in range(1, j - 1):
             lhs = commutator(root("X", j, j - ell, 2 ** ell), root("X", j - ell, j - ell - 1, 2))
             check(f"x_down_step[j={j},l={ell}]", lhs, root("X", j, j - ell - 1, 2 ** (ell + 1)))
     for k in range(2, g + 1):
@@ -515,22 +511,13 @@ def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
 
 def mod2_block_test(m: SpMatrix, genus: int | None = None) -> bool:
     """Necessary condition for membership: the mod-2 reduction, reindexed into
-    the interleaved basis (a_1, b_1, a_2, b_2, ...), is 2x2 block diagonal."""
+    the interleaved basis (a_1, b_1, a_2, b_2, ...), is 2x2 block diagonal:
+    t and g + t share a block, so every odd entry (r, c) has r = c mod g."""
     g = genus if genus is not None else m.genus
     if g != m.genus:
         raise ValueError("genus mismatch")
-    # interleaved position 2t   <- old a-index t
-    # interleaved position 2t+1 <- old b-index g+t
-    order = []
-    for t in range(g):
-        order.append(t)
-        order.append(g + t)
-    rows = m.m.rows
-    for r_new, r_old in enumerate(order):
-        for c_new, c_old in enumerate(order):
-            if r_new // 2 != c_new // 2 and rows[r_old][c_old] % 2 != 0:
-                return False
-    return True
+    return all((r - c) % g == 0
+               for r, row in enumerate(m.m.rows) for c, x in enumerate(row) if x % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +557,20 @@ def _row_tables(genus: int, modulus: int) -> list[bytes]:
     return tables
 
 
-# A 4x4 matrix mod 4 packs into 32 bits as in ModMatrix.packed_word: entry
-# (i, c) in bits 2(4i + c) and 2(4i + c) + 1, so row i is byte i. The low bit
-# of every entry is its reduction mod 2, so `key & _LOW_BITS` is the key of
-# the matrix mod 2 in the same layout, and F_2 matrices below use that layout.
+# A 4x4 matrix mod 4 packs into 32 bits (`_mod4_key`): entry (i, c) in bits
+# 2(4i + c) and 2(4i + c) + 1, so row i is byte i. The low bit of every entry
+# is its reduction mod 2, so `key & _LOW_BITS` is the key of the matrix mod 2
+# in the same layout, and F_2 matrices below use that layout.
 _LOW_BITS = 0x55555555
 _COLUMN_0 = 0x03030303        # entry (i, 0) of every row i
 _IDENTITY_KEY = 0x40100401    # the identity, mod 4 and mod 2 alike
 _LAYER_DIM = 10               # dim sp(4, F_2) = g(2g + 1) at g = 2
+
+
+def _mod4_key(rows: tuple[tuple[int, ...], ...]) -> int:
+    """The packed key of a 4x4 integer matrix mod 4."""
+    return sum((x % 4) << (2 * (4 * i + c))
+               for i, row in enumerate(rows) for c, x in enumerate(row))
 
 
 def _f2_mul(a: int, b: int) -> int:
@@ -659,7 +652,9 @@ class ClosureTable:
     def contains(self, m: SpMatrix) -> bool:
         """m mod 2 must be the class of a rep r, and the layer vector of
         m r^-1 must sift to zero in the basis."""
-        key = reduce_mod(m.m, self.modulus).packed_word()
+        if m.genus != self.genus:
+            raise ValueError("genus mismatch")
+        key = _mod4_key(m.m.rows)
         h = key & _LOW_BITS
         rep = next((r for r in self.reps if r & _LOW_BITS == h), None)
         if rep is None:
@@ -686,9 +681,8 @@ def _layer_certificate(letters: list[tuple[str, int, int]]) -> ClosureTable:
     has dimension 10, so the sifting stops at rank 10; the BFS goes on.
     """
     by_letter = dict(zip(_closure_letters(2), closure_generators(2)))
-    deltas = [tuple((k, j, (x - (k == j)) % 4)
-                    for k, row in enumerate(by_letter[letter].m.rows)
-                    for j, x in enumerate(row) if (x - (k == j)) % 4)
+    deltas = [tuple((k, j, x % 4) for k, row in _delta(by_letter[letter]).items()
+                    for j, x in row.items() if x % 4)
               for letter in letters]
     reps = [_IDENTITY_KEY]
     classes = {_IDENTITY_KEY: (_IDENTITY_KEY, _IDENTITY_KEY)}   # h -> (rep, h^-1)
@@ -791,29 +785,23 @@ class MembershipVerdict:
 
 
 def _match_root_pattern(m: SpMatrix) -> RootSpec | None:
-    """Recognize m as a one-parameter root element; None if no family fits."""
-    g = m.genus
-    nonzero = [(r + 1, c + 1, x) for r, row in _delta(m).items() for c, x in row.items()]
-    if len(nonzero) == 1:
-        r, c, t = nonzero[0]
-        if c == g + r:
-            return RootSpec("V", r, t=t)
-        if r == g + c:
-            return RootSpec("W", c, t=t)
+    """Recognize m as a one-parameter root element; None if no family fits.
+    The first nonzero (r, c) of M - I fixes the one candidate: its block gives
+    the kind, V and W on the block diagonal, and its indices mod g the spec.
+    The candidate is rebuilt by `_root_delta` and must give M - I exactly."""
+    g, delta = m.genus, _delta(m)
+    if not delta:
         return None
-    if len(nonzero) != 2:
+    r = min(delta)
+    c = min(delta[r])
+    i, j = r % g + 1, c % g + 1
+    kinds = ("X", "VZ", "WY", "")[2 * (r >= g) + (c >= g)]
+    kind = kinds[:1] if i == j else kinds[-1:]
+    try:
+        spec = RootSpec(kind, i, 0 if kind in ("V", "W") else j, delta[r][c])
+        return spec if _root_delta(spec, g) == delta else None
+    except ValueError:                  # no kind, or indices out of range
         return None
-    (r1, c1, t1), (r2, c2, t2) = nonzero
-    # X: t at (j,k), -t at (g+k, g+j) with j, k <= g
-    if r1 <= g and c1 <= g and (r2, c2) == (g + c1, g + r1) and t2 == -t1:
-        return RootSpec("X", r1, c1, t1)
-    # Z: t at (j, g+k) and (k, g+j)
-    if r1 <= g and c1 > g and (r2, c2) == (c1 - g, g + r1) and t2 == t1 and r1 < c1 - g:
-        return RootSpec("Z", r1, c1 - g, t1)
-    # Y: t at (g+j, k) and (g+k, j)
-    if r1 > g and c1 <= g and (r2, c2) == (g + c1, r1 - g) and t2 == t1 and r1 - g < c1:
-        return RootSpec("Y", r1 - g, c1, t1)
-    return None
 
 
 def membership(m: SpMatrix, genus: int | None = None,

@@ -1,4 +1,4 @@
-"""Exact integer and modular matrix arithmetic for the symplectic calculus.
+"""Exact integer matrix arithmetic for the symplectic calculus.
 
 All matrices are immutable and use arbitrary-precision Python integers, so
 every product, inverse and congruence test below is exact.
@@ -58,17 +58,6 @@ class IntMatrix:
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         return mat_mul(self, other)
-
-    def add(self, other: IntMatrix) -> IntMatrix:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
-
-    def scale(self, c: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.dim)
@@ -213,67 +202,3 @@ class SpMatrix:
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()
         return SpMatrix._closed(mat_pow(base.m, abs(k)), self.genus)
-
-
-def _is_power_of_two(q: int) -> bool:
-    return q >= 2 and (q & (q - 1)) == 0
-
-
-@dataclass(frozen=True)
-class ModMatrix:
-    """Matrix over Z/qZ for q a power of two; entries reduced into [0, q)."""
-
-    rows: tuple[tuple[int, ...], ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not _is_power_of_two(self.modulus):
-            raise ValueError(f"modulus must be a power of two >= 2, got {self.modulus}")
-        rows = tuple(tuple(int(x) % self.modulus for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __matmul__(self, other: ModMatrix) -> ModMatrix:
-        if self.dim != other.dim or self.modulus != other.modulus:
-            raise ValueError("dimension or modulus mismatch")
-        bt = tuple(zip(*other.rows))
-        q = self.modulus
-        return ModMatrix(tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt)
-            for row in self.rows
-        ), q)
-
-    def is_identity(self) -> bool:
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.rows) for j, x in enumerate(row)
-        )
-
-    def packed_word(self) -> int:
-        """Canonical packed encoding: base-q digits, entry (i,j) at digit i*dim+j.
-
-        Only defined for q <= 256 (entries fit in 8 bits each).
-        """
-        if self.modulus > 256:
-            raise ValueError("packing requires modulus <= 256")
-        bits = (self.modulus - 1).bit_length()
-        word = 0
-        pos = 0
-        for row in self.rows:
-            for x in row:
-                word |= x << (bits * pos)
-                pos += 1
-        return word
-
-
-def reduce_mod(m: IntMatrix, q: int) -> ModMatrix:
-    """Entrywise reduction into [0, q) for q a power of two."""
-    if not _is_power_of_two(q):
-        raise ValueError(f"modulus must be a power of two >= 2, got {q}")
-    return ModMatrix(m.rows, q)

@@ -180,18 +180,15 @@ def plan_from_T_word(dec: TDecomposition) -> SurgeryPlan:
     groups: list[tuple[SurgeryOp, ...]] = []
     for s, block in enumerate(dec.blocks, start=1):
         group: list[SurgeryOp] = []
-        for i, p_i in enumerate(block.p, start=1):
-            if p_i:
-                orbit = OrbitSpec(CurveLetter("a", i), s, PHASE_ZERO, 0)
-                group.append(SurgeryOp(orbit, p_i, dehn_fried_equivalent_twist_order(0, p_i)))
-        for k, r_k in enumerate(block.r, start=1):
-            if r_k:
-                orbit = OrbitSpec(CurveLetter("c", k), s, PHASE_ZERO, 1)
-                group.append(SurgeryOp(orbit, -r_k, dehn_fried_equivalent_twist_order(1, -r_k)))
-        for j, q_j in enumerate(block.q, start=1):
-            if q_j:
-                orbit = OrbitSpec(CurveLetter("b", j), s, PHASE_3PI2, 0)
-                group.append(SurgeryOp(orbit, q_j, dehn_fried_equivalent_twist_order(0, q_j)))
+        for kind, phase, exponents in (("a", PHASE_ZERO, block.p), ("c", PHASE_ZERO, block.r),
+                                       ("b", PHASE_3PI2, block.q)):
+            for index, e in enumerate(exponents, start=1):
+                if e:
+                    curve = CurveLetter(kind, index)
+                    twist = twist_of_orbit(curve)
+                    k = e if twist == 0 else -e     # order l = e: k = l, or -l if twisted
+                    group.append(SurgeryOp(OrbitSpec(curve, s, phase, twist), k,
+                                           dehn_fried_equivalent_twist_order(twist, k)))
         groups.append(tuple(group))
     return SurgeryPlan(dec.genus, len(dec.blocks), tuple(groups))
 
@@ -202,18 +199,10 @@ def monodromy_from_plan(plan: SurgeryPlan) -> TwistWord:
     g = plan.genus
     blocks: list[TBlock] = []
     for group in plan.ops:
-        p = [0] * g
-        q = [0] * g
-        r = [0] * (g - 1)
+        orders = {"a": [0] * g, "b": [0] * g, "c": [0] * (g - 1)}
         for op in group:
-            kind, index = op.orbit.curve.kind, op.orbit.curve.index
-            if kind == "a":
-                p[index - 1] = op.order_l
-            elif kind == "b":
-                q[index - 1] = op.order_l
-            else:
-                r[index - 1] = op.order_l
-        blocks.append(TBlock(g, tuple(p), tuple(q), tuple(r)))
+            orders[op.orbit.curve.kind][op.orbit.curve.index - 1] = op.order_l
+        blocks.append(TBlock(g, tuple(orders["a"]), tuple(orders["b"]), tuple(orders["c"])))
     return TDecomposition(g, tuple(blocks)).reassemble()
 
 

@@ -9,6 +9,7 @@
 """
 from __future__ import annotations
 
+from mod_oracle import add, scale
 from twistcert.congruence import (
     IdentityCheck,
     IdentityReport,
@@ -44,7 +45,7 @@ def row_form_product(genus, letters):
 
 
 def _matrix_diff(lhs, rhs):
-    diff = lhs.m.add(rhs.m.scale(-1))
+    diff = add(lhs.m, scale(rhs.m, -1))
     return f"difference rows {diff.rows}"
 
 
@@ -128,7 +129,7 @@ def verify_identities_dense(genus):
 def match_root_pattern_dense(m):
     g = m.genus
     n = 2 * g
-    delta = m.m.add(IntMatrix.identity(n).scale(-1))
+    delta = add(m.m, scale(IntMatrix.identity(n), -1))
     nonzero = [(r + 1, c + 1, x) for r, row in enumerate(delta.rows)
                for c, x in enumerate(row) if x]
     if len(nonzero) == 1:

@@ -35,7 +35,10 @@ from twistcert.congruence import (
     twist_gen,
     verify_identities,
 )
-from twistcert.matrices import IntMatrix, SpMatrix, reduce_mod, symplectic_form
+from mod_oracle import mod2_block_test_interleaved, reduce_mod
+from test_sparse_paths import unchecked
+from twistcert.matrices import IntMatrix, SpMatrix, symplectic_form
+from twistcert.words import eval_word, parse_word
 
 
 def random_gen_word(rng, genus, length):
@@ -217,6 +220,29 @@ def test_mod2_block_test_on_gen_words():
         assert mod2_block_test(eval_gen_word(w))
 
 
+def test_mod2_block_test_matches_interleaved_oracle():
+    rng = random.Random(83)
+    for g in range(3, 7):
+        members = [eval_gen_word(random_gen_word(rng, g, rng.randint(1, 10)))
+                   for _ in range(8)]
+        # an odd power of C_i, times a member, is obstructed
+        obstructed = [twist_gen("C", i, g).pow(k) for i in range(1, g) for k in (1, 3, -1)]
+        obstructed += [member @ c for member, c in zip(members, obstructed)]
+        for m in members + obstructed:
+            assert mod2_block_test(m) == mod2_block_test_interleaved(m, g)
+        assert all(mod2_block_test(m) for m in members)
+        assert not any(mod2_block_test(m) for m in obstructed)
+        # one odd (or even) entry at every position: off the 2x2 blocks of
+        # the interleaved basis an odd entry obstructs, on them nothing does
+        for r in range(1, 2 * g + 1):
+            for c in range(1, 2 * g + 1):
+                for x in (1, -3, 2):
+                    m = unchecked(g, {(r, c): x})
+                    assert mod2_block_test(m) == mod2_block_test_interleaved(m, g), (r, c, x)
+        assert not mod2_block_test(unchecked(g, {(1, 2): 1}))
+        assert mod2_block_test(unchecked(g, {(2, g + 2): 1}))
+
+
 def test_sp_group_orders():
     assert sp_group_order_mod(2, 2) == 720
     assert sp_group_order_mod(2, 4) == 737280
@@ -241,6 +267,28 @@ def test_closure_size_and_membership(closure_table):
     for spec in specs:
         assert table.contains(root_matrix(spec, 2)), str(spec)
     assert not table.contains(twist_gen("C", 1, 2))
+
+
+def test_contains_key_matches_packed_word():
+    rng = random.Random(89)
+    mats = [eval_gen_word(random_gen_word(rng, 2, rng.randint(8, 40))) for _ in range(20)]
+    mats += [SpMatrix(IntMatrix.from_unit_entries(4, {(1, 3): t}), 2)
+             for t in (-(2 ** 70) - 1, -5, 7, 3 ** 45)]
+    assert any(min(map(min, m.m.rows)) < 0 for m in mats)
+    assert any(max(map(max, m.m.rows)) > 2 ** 64 for m in mats)
+    for m in mats:
+        assert congruence._mod4_key(m.m.rows) == reduce_mod(m.m, 4).packed_word()
+    for _ in range(50):
+        rows = tuple(tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(4)) for _ in range(4))
+        assert congruence._mod4_key(rows) == reduce_mod(IntMatrix(rows), 4).packed_word()
+
+
+def test_contains_refuses_another_genus(closure_table):
+    m = eval_word(parse_word("a3^-1 b2 a2 b2 b3^-1 b1 c2", 3))
+    assert membership(m, 3).verdict == NOT_IN_GAMMA
+    for other in (m, SpMatrix.identity(3)):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            closure_table.contains(other)
 
 
 def test_closure_generator_closed(closure_table):

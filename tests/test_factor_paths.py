@@ -30,6 +30,7 @@ from twistcert.polynomials import (
 from twistcert.words import eval_word
 
 from brute_force_factor import factor_over_Z_bruteforce
+from mod_oracle import add, scale
 from test_pa_factor_once import family_charpolys
 
 
@@ -38,10 +39,10 @@ def charpoly_full_run(m: IntMatrix) -> IntPoly:
     use of the symmetry of chi."""
     n = m.dim
     coeffs_high_first = [1]
-    mk = IntMatrix.identity(n).scale(0)
+    mk = scale(IntMatrix.identity(n), 0)
     c = 1
     for k in range(1, n + 1):
-        mk = m @ mk.add(IntMatrix.identity(n).scale(c))
+        mk = m @ add(mk, scale(IntMatrix.identity(n), c))
         tr = sum(mk.rows[i][i] for i in range(n))
         assert tr % k == 0
         c = -tr // k

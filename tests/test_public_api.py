@@ -1,0 +1,50 @@
+"""The public surface: what `twistcert.__all__` promises resolves, what the
+README lists as removed is gone, and the package does not import the test
+helpers."""
+import ast
+import pathlib
+import re
+
+import twistcert
+import twistcert.matrices
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twistcert"
+TEST_HELPERS = {"mod_oracle", "dense_oracles", "brute_force_factor"}
+
+
+def removed_names():
+    """The plain names on the README's "Removed public names" paragraph."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"Removed public names:(.*?)\n\n", text, re.S).group(1)
+    return re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(twistcert.__all__)) == len(twistcert.__all__)
+    for name in twistcert.__all__:
+        assert getattr(twistcert, name, None) is not None, name
+
+
+def test_removed_names_stay_removed():
+    names = removed_names()
+    assert {"sp_inverse", "factor_over_Z_bruteforce", "ModMatrix", "reduce_mod"} <= set(names)
+    for name in names:
+        assert not hasattr(twistcert, name), name
+        assert not hasattr(twistcert.matrices, name), name
+        assert name not in twistcert.__all__, name
+
+
+def test_package_does_not_import_test_helpers():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            for name in imported:
+                assert name.split(".")[0] not in TEST_HELPERS, f"{path.name} imports {name}"

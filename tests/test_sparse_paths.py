@@ -232,6 +232,7 @@ def near_misses(g):
             out.append({(j, k): t, (g + k, g + j): t})               # X, wrong sign
             out.append({(j, k): t, (g + j, g + k): -t})              # X, wrong partner
             out.append({(j, k): t})                                  # X, no partner
+            out.append({(g + k, g + j): t})                          # X partner alone
             out.append({(j, g + k): t})                              # Z, no partner
             if j < k:
                 out.append({(j, g + k): t, (k, g + j): -t})          # Z, wrong sign
