@@ -84,12 +84,26 @@ def _input(fn, *args):
 
 
 def _read_matrix_file(path: str, genus: int) -> SpMatrix:
+    """The non-blank lines of the file as rows of integers. Reading stops at
+    a line longer than a legal row (2g signed entries of at most the digits
+    int() converts, each with a separator; when that limit is off, the
+    interpreter's default of 4300 digits still bounds the line) and at a
+    non-blank row past the 2g-th, so no file is read further than a 2g x 2g
+    matrix needs."""
+    n = 2 * genus
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    max_line = n * (digits + 2) + 1
+    rows: list[tuple[int, ...]] = []
     try:
         with open(path) as fh:
-            rows = [
-                tuple(int(tok) for tok in line.split())
-                for line in fh if line.strip()
-            ]
+            lines = iter(lambda: fh.readline(max_line + 1), "")
+            for number, line in enumerate(lines, start=1):
+                if len(line) > max_line:
+                    raise ValueError(f"line {number} is longer than {max_line} characters")
+                if line.strip():
+                    if len(rows) == n:
+                        raise ValueError(f"line {number} is a row past the {n}th")
+                    rows.append(tuple(int(tok) for tok in line.split()))
         return SpMatrix(IntMatrix(tuple(rows)), genus)
     except (OSError, ValueError) as exc:
         raise CliInputError(f"cannot read matrix from {path}: {exc}")

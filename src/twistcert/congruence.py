@@ -114,20 +114,18 @@ def root_matrix(spec: RootSpec, genus: int) -> SpMatrix:
 
 def rotation_matrix(i: int, genus: int) -> SpMatrix:
     """A_i B_i A_i: rotation by a quarter turn in the (e_i, e_{g+i}) plane."""
-    return eval_gen_word(GenWord(genus, (("A", i, 1), ("B", i, 1), ("A", i, 1))))
+    return eval_gen_word(parse_gen_word(f"A{i} B{i} A{i}", genus))
 
 
 def d_matrix(i: int, genus: int) -> SpMatrix:
-    """D_i := A_i^2 B_{i+1}^2 (A_{i+1} B_{i+1} A_{i+1}) C_i^2
-    (A_{i+1} B_{i+1} A_{i+1})^{-1}, multiplied literally as written."""
+    """D_i, the literal product of its generator word `_d_word`."""
     if not 1 <= i <= genus - 1:
         raise ValueError(f"index {i} out of range")
     return eval_gen_word(_d_word(i, genus))
 
 
 def d_prime_matrix(i: int, genus: int) -> SpMatrix:
-    """D'_i := (A_{i-1} B_{i-1} A_{i-1}) C_{i-1}^{-2}
-    (A_{i-1} B_{i-1} A_{i-1})^{-1} B_{i-1}^{-2} A_i^{-2}."""
+    """D'_i, the literal product of its generator word `_d_prime_word`."""
     if not 2 <= i <= genus:
         raise ValueError(f"index {i} out of range")
     return eval_gen_word(_d_prime_word(i, genus))
@@ -400,6 +398,10 @@ def format_gen_word(word: GenWord) -> str:
 
 
 def parse_gen_word(text: str, genus: int) -> GenWord:
+    return GenWord(genus, _gen_letters(text))
+
+
+def _gen_letters(text: str) -> tuple[tuple[str, int, int], ...]:
     letters = []
     for token in text.split():
         body, _, exp_text = token.partition("^")
@@ -407,32 +409,23 @@ def parse_gen_word(text: str, genus: int) -> GenWord:
             raise ValueError(f"malformed generator token {token!r}")
         exponent = int(exp_text) if exp_text else 1
         letters.append((body[0], int(body[1:]), exponent))
-    return GenWord(genus, tuple(letters))
-
-
-def _letter(kind: str, index: int, exponent: int, genus: int) -> GenWord:
-    return GenWord(genus, ((kind, index, exponent),))
+    return tuple(letters)
 
 
 def _d_word(i: int, genus: int) -> GenWord:
-    """Generator word whose literal product is d_matrix(i)."""
-    g = genus
-    rot = _letter("A", i + 1, 1, g) * _letter("B", i + 1, 1, g) * _letter("A", i + 1, 1, g)
-    return (
-        _letter("A", i, 1, g) * _letter("A", i, 1, g)
-        * _letter("B", i + 1, 1, g) * _letter("B", i + 1, 1, g)
-        * rot * _letter("C", i, 2, g) * rot.inverse()
-    )
+    """D_i := A_i^2 B_{i+1}^2 (A_{i+1} B_{i+1} A_{i+1}) C_i^2 (A_{i+1} B_{i+1} A_{i+1})^-1."""
+    # the formula words are valid at every index their callers pass, so they
+    # are built unchecked and synthesis checks no letter of them
+    j = i + 1
+    return GenWord._exact(genus, _gen_letters(
+        f"A{i} A{i} B{j} B{j} A{j} B{j} A{j} C{i}^2 A{j}^-1 B{j}^-1 A{j}^-1"))
 
 
 def _d_prime_word(i: int, genus: int) -> GenWord:
-    g = genus
-    rot = _letter("A", i - 1, 1, g) * _letter("B", i - 1, 1, g) * _letter("A", i - 1, 1, g)
-    return (
-        rot * _letter("C", i - 1, -2, g) * rot.inverse()
-        * _letter("B", i - 1, -1, g) * _letter("B", i - 1, -1, g)
-        * _letter("A", i, -1, g) * _letter("A", i, -1, g)
-    )
+    """D'_i := (A_h B_h A_h) C_h^-2 (A_h B_h A_h)^-1 B_h^-2 A_i^-2, with h = i - 1."""
+    h = i - 1
+    return GenWord._exact(genus, _gen_letters(
+        f"A{h} B{h} A{h} C{h}^-2 A{h}^-1 B{h}^-1 A{h}^-1 B{h}^-1 B{h}^-1 A{i}^-1 A{i}^-1"))
 
 
 def _commutator_word(p: GenWord, q: GenWord) -> GenWord:
@@ -457,19 +450,17 @@ def _z_power_word(j: int, k: int, genus: int) -> GenWord:
     """Word for Z_{j,k}^{2^(k-j)}, from the base case and the commutator
     induction."""
     g = genus
-    word = _commutator_word(_letter("A", k, 1, g), _d_word(k - 1, g).inverse())
-    word = word * _letter("A", k - 1, 1, g).repeat(4)   # Z_{k-1,k}^2
+    word = _commutator_word(GenWord(g, (("A", k, 1),)), _d_word(k - 1, g).inverse())
+    word = word * GenWord(g, (("A", k - 1, 1),)).repeat(4)   # Z_{k-1,k}^2
     for ell in range(2, k - j + 1):
         word = _commutator_word(word, _d_word(k - ell, g).inverse())
     return word
 
 
 def _theta_word(genus: int) -> GenWord:
-    word = GenWord(genus, ())
-    for i in range(1, genus + 1):
-        word = word * _letter("A", i, 1, genus) * _letter("B", i, 1, genus) \
-            * _letter("A", i, 1, genus)
-    return word
+    """theta := (A_1 B_1 A_1) ... (A_g B_g A_g), whose product is the form matrix J."""
+    return GenWord._exact(genus, _gen_letters(
+        " ".join(f"A{i} B{i} A{i}" for i in range(1, genus + 1))))
 
 
 def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
@@ -485,9 +476,9 @@ def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
         raise ValueError("t must be nonzero")
     base = 2 ** (g - 1)
     if spec.kind == "V":
-        word = _letter("A", spec.i, 1 if t > 0 else -1, g).repeat(abs(t))
+        word = GenWord(g, (("A", spec.i, 1 if t > 0 else -1),)).repeat(abs(t))
     elif spec.kind == "W":
-        word = _letter("B", spec.i, -1 if t > 0 else 1, g).repeat(abs(t))
+        word = GenWord(g, (("B", spec.i, -1 if t > 0 else 1),)).repeat(abs(t))
     else:
         if t % base != 0:
             raise ValueError(f"unsupported exponent t={t}; need a multiple of {base}")

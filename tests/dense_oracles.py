@@ -127,6 +127,19 @@ def verify_identities_dense(genus):
 
 
 def match_root_pattern_dense(m):
+    """The root spec whose displayed matrix has the entry pattern of M - I,
+    or None; a pattern whose indices no spec accepts (X_{j,j}) is None."""
+    spec = _root_pattern_dense(m)
+    if spec is None:
+        return None
+    try:
+        spec.validate(m.genus)
+    except ValueError:
+        return None
+    return spec
+
+
+def _root_pattern_dense(m):
     g = m.genus
     n = 2 * g
     delta = add(m.m, scale(IntMatrix.identity(n), -1))

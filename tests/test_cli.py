@@ -399,6 +399,70 @@ def test_synthesized_word_length_is_bounded(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_matrix_file_reading_stops_at_the_limits(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    max_line = 4 * (digits + 2) + 1     # 17209 at the default of 4300 digits
+    for text, message in (
+            ("1" * (max_line + 1), f"line 1 is longer than {max_line} characters"),
+            ("\n1 0 0 0\n" + "0 1 0 0\n" * 3 + "\n1 0 0 0\n", "line 7 is a row past the 4th")):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "membership", str(path), "--genus", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read matrix from {path}: {message}\n"
+    # within the limits: blank lines are skipped and the longest entries are
+    # read, so the verdict or error is the matrix's own
+    path.write_text("\n\n1 0 0 0\n0 1 0 0\n\n0 0 1 0\n0 0 0 1\n\n")
+    assert run_cli(capsys, "membership", str(path), "--genus", "2")[0] == 0
+    path.write_text(" ".join(["-" + "9" * digits] * 4) + "\n" + "0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, _, err = run_cli(capsys, "membership", str(path), "--genus", "2")
+    assert code == 2 and "matrix is not symplectic" in err, err
+
+
+def test_long_matrix_file_is_refused_in_bounded_memory(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(b"1 0 0 0\n" * 4_000_000)                  # 32 MB
+    script = ("import resource, sys\n"
+              "from twistcert.cli import main\n"
+              "code = main(['membership', sys.argv[1], '--genus', '2'])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
+    assert peak_kib < 100 * 1024
+
+
+def test_family_verdicts_are_the_same_under_optimize():
+    # the Anosov half of certify and plan keeps its checks without asserts
+    script = ("import contextlib, io, json, sys\n"
+              "from twistcert.cli import main\n"
+              "runs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(runs))\n")
+    argv = json.dumps([[command, word, "--genus", "2", "--format", fmt]
+                       for command in ("certify", "plan")
+                       for word in (EXAMPLE, "d1^-2 c1^-1 a1")
+                       for fmt in ("human", "json")])
+    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    results = [subprocess.run([sys.executable, *flags, "-c", script, argv], env=env,
+                              capture_output=True, timeout=120)
+               for flags in ((), ("-O",))]
+    assert [r.returncode for r in results] == [0, 0], results[1].stderr
+    assert results[0].stdout == results[1].stdout
+    runs = json.loads(results[0].stdout)
+    assert [code for code, _, _ in runs] == [0, 0, 1, 1, 0, 0, 1, 1]
+    assert "c1 exponent must be -2" in runs[2][1] + runs[2][2]
+
+
 def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     import twistcert.cli as cli
 

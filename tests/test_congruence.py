@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import os
 import random
 import struct
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from array import array
+from collections import deque
 
 import pytest
 
@@ -172,6 +174,37 @@ def test_synthesize_x12_is_the_d_word():
     assert eval_gen_word(word) == d_matrix(1, 2)
 
 
+def _rot(i):
+    return (("A", i, 1), ("B", i, 1), ("A", i, 1))
+
+
+def _inv(letters):
+    return tuple((kind, i, -e) for kind, i, e in reversed(letters))
+
+
+def test_formula_words_letter_for_letter():
+    for g in range(2, 9):
+        for i in range(1, g):
+            # D_i := A_i^2 B_{i+1}^2 (A_{i+1} B_{i+1} A_{i+1}) C_i^2 (A_{i+1} B_{i+1} A_{i+1})^-1
+            word = congruence._d_word(i, g)
+            assert word.genus == g
+            assert word.letters == ((("A", i, 1),) * 2 + (("B", i + 1, 1),) * 2 + _rot(i + 1)
+                                    + (("C", i, 2),) + _inv(_rot(i + 1)))
+        for i in range(2, g + 1):
+            # D'_i := (A_{i-1} B_{i-1} A_{i-1}) C_{i-1}^-2 (A_{i-1} B_{i-1} A_{i-1})^-1
+            #         B_{i-1}^-2 A_i^-2
+            word = congruence._d_prime_word(i, g)
+            assert word.genus == g
+            assert word.letters == (_rot(i - 1) + (("C", i - 1, -2),) + _inv(_rot(i - 1))
+                                    + (("B", i - 1, -1),) * 2 + (("A", i, -1),) * 2)
+        # theta := (A_1 B_1 A_1) ... (A_g B_g A_g)
+        word = congruence._theta_word(g)
+        assert word.genus == g
+        assert word.letters == sum((_rot(i) for i in range(1, g + 1)), ())
+        for i in range(1, g + 1):
+            assert rotation_matrix(i, g) == eval_gen_word(GenWord(g, _rot(i)))
+
+
 def test_synthesize_x13_at_genus_three():
     spec = RootSpec("X", 1, 3, t=4)
     word = synthesize_root(spec, 3)
@@ -296,38 +329,28 @@ def test_closure_generator_closed(closure_table):
 
 
 def test_closure_matches_pure_python_bfs(closure_table):
-    # independent oracle for the row-table engine: dict/deque BFS over
-    # ModMatrix products, no packed-byte arithmetic involved
-    from collections import deque
-
+    # independent oracle for the layer certificate: BFS over every product
     gens = [reduce_mod(g.m, 4) for g in closure_generators(2)]
-    start = reduce_mod(IntMatrix.identity(4), 4)
-    seen = {start.packed_word()}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for gen in gens:
-            nxt = current @ gen
-            key = nxt.packed_word()
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
-    assert seen == set(closure_table.elements)
+    assert _bfs_image(gens) == set(closure_table.elements)
 
 
 def _bfs_image(gens):
-    # right-multiplication BFS over ModMatrix products, as in the test above
-    from collections import deque
-
-    start = reduce_mod(IntMatrix.identity(4), 4)
-    seen = {start.packed_word()}
+    """Right-multiplication BFS from the identity over 4x4 matrices mod 4.
+    A state is held as its `packed_word` (entry (i, c) in bits 8i + 2c) and
+    multiplied by a generator entry by entry: no row tables, no column
+    kernel and no key packing of the package are involved."""
+    cols = [tuple(zip(*gen.rows)) for gen in gens]
+    start = reduce_mod(IntMatrix.identity(4), 4).packed_word()
+    seen = {start}
     queue = deque([start])
     while queue:
-        current = queue.popleft()
-        for gen in gens:
-            nxt = current @ gen
-            if nxt.packed_word() not in seen:
-                seen.add(nxt.packed_word())
+        key = queue.popleft()
+        rows = [[(key >> (8 * i + 2 * c)) & 3 for c in range(4)] for i in range(4)]
+        for gen_cols in cols:
+            nxt = sum((sum(map(operator.mul, row, col)) & 3) << (8 * i + 2 * c)
+                      for i, row in enumerate(rows) for c, col in enumerate(gen_cols))
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
     return seen
 

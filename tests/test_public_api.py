@@ -1,6 +1,6 @@
 """The public surface: what `twistcert.__all__` promises resolves, what the
-README lists as removed is gone, and the package does not import the test
-helpers."""
+README lists as removed is gone, the package does not import the test
+helpers, and it holds no `assert` statement (`python -O` strips them)."""
 import ast
 import pathlib
 import re
@@ -10,7 +10,7 @@ import twistcert.matrices
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twistcert"
-TEST_HELPERS = {"mod_oracle", "dense_oracles", "brute_force_factor"}
+TEST_HELPERS = {"mod_oracle", "dense_oracles", "brute_force_factor", "family_oracle"}
 
 
 def removed_names():
@@ -48,3 +48,11 @@ def test_package_does_not_import_test_helpers():
                 continue
             for name in imported:
                 assert name.split(".")[0] not in TEST_HELPERS, f"{path.name} imports {name}"
+
+
+def test_package_has_no_assert_statements():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} asserts"

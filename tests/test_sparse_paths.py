@@ -228,6 +228,7 @@ def near_misses(g):
         for k in range(1, g + 1):
             if j == k:
                 out.append({(j, j): t})                              # diagonal entry
+                out.append({(j, j): t, (g + j, g + j): -t})          # X with j = k
                 continue
             out.append({(j, k): t, (g + k, g + j): t})               # X, wrong sign
             out.append({(j, k): t, (g + j, g + k): -t})              # X, wrong partner
