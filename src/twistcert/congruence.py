@@ -398,7 +398,9 @@ def format_gen_word(word: GenWord) -> str:
 
 
 def parse_gen_word(text: str, genus: int) -> GenWord:
-    return GenWord(genus, _gen_letters(text))
+    letters = _gen_letters(text)
+    _check_length(len(letters))
+    return GenWord(genus, letters)
 
 
 def _gen_letters(text: str) -> tuple[tuple[str, int, int], ...]:
@@ -628,6 +630,12 @@ class ClosureTable:
     def elements(self) -> frozenset[int]:
         return frozenset(self._keys())
 
+    @cached_property
+    def _export_bytes(self) -> bytes:
+        """The cache file: the header, then the sorted keys as little-endian u32."""
+        keys = sorted(self._keys())
+        return _cache_header(self) + struct.pack(f"<{len(keys)}I", *keys)
+
     def _keys(self) -> list[int]:
         """Every packed key of the image, coset by coset: (I + 2X) r for the
         lift r of h is r + 2 X h, which is r XOR (X h moved to the high bits)."""
@@ -702,18 +710,25 @@ def _layer_certificate(letters: list[tuple[str, int, int]]) -> ClosureTable:
     return table
 
 
+@lru_cache(maxsize=1)
+def _closure_certificate() -> ClosureTable:
+    """The certificate of all ten closure letters. It depends on constants
+    only, so it is built once per process and shared: the table is frozen."""
+    return _layer_certificate(_closure_letters(2))
+
+
 def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
     """The image of the subgroup in Sp(4, Z/4) (genus 2, modulus 4), as a
-    layer certificate built on each call from closure_generators(2).
+    layer certificate built once per process from closure_generators(2).
 
     cache_path (or the TWISTCERT_CACHE environment variable) names a file the
-    image is exported to: a versioned header, then the sorted packed keys. It
-    is written when missing or not well-formed, and no key read from it is
-    used. OSError says which path could not be used.
+    image is exported to: a versioned header, then the sorted packed keys. The
+    file is read on every call, and written when missing or not well-formed;
+    no key read from it is used. OSError says which path could not be used.
     """
     if genus != 2:
         raise ValueError("exact closure mode is implemented for genus 2 only")
-    table = _layer_certificate(_closure_letters(2))
+    table = _closure_certificate()
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV_VAR)
     if cache_path:
@@ -725,34 +740,44 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
     return table
 
 
+def _cache_header(table: ClosureTable) -> bytes:
+    return struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION, table.genus, table.modulus,
+                       table.size)
+
+
 def _cache_well_formed(path: str, table: ClosureTable) -> bool:
     """The exact header with count = table.size, exactly that many keys after
     it, each larger than the one before. A missing file is not well-formed."""
-    count = table.size
-    header = struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION, table.genus, table.modulus,
-                         count)
+    header = _cache_header(table)
+    size = len(header) + 4 * table.size
     try:
         with open(path, "rb") as fh:
-            data = fh.read(len(header) + 4 * count + 1)
+            data = fh.read(size + 1)
     except FileNotFoundError:
         return False
-    if data[:len(header)] != header or len(data) != len(header) + 4 * count:
+    if data[:len(header)] != header or len(data) != size:
         return False
-    keys = struct.unpack(f"<{count}I", data[len(header):])
+    return _keys_increase(data[len(header):])
+
+
+@lru_cache(maxsize=1)
+def _keys_increase(body: bytes) -> bool:
+    """Whether the little-endian u32 keys of body increase strictly. The
+    verdict is a function of the bytes alone, so it is memoized on them:
+    rereading an unchanged file skips the scan, a changed one is scanned."""
+    keys = struct.unpack(f"<{len(body) // 4}I", body)
     return all(map(operator.lt, keys, islice(keys, 1, None)))
 
 
 def _store_closure_cache(path: str, table: ClosureTable) -> None:
-    """Write the header and sorted keys to a temporary file, then rename it."""
-    keys = sorted(table._keys())
+    """Write the export bytes to a temporary file, then rename it."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(struct.pack(f"<4sIIII{len(keys)}I", _CACHE_MAGIC, _CACHE_VERSION,
-                                 table.genus, table.modulus, len(keys), *keys))
+            fh.write(table._export_bytes)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

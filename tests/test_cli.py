@@ -181,6 +181,26 @@ def test_membership_with_witness_cli(capsys, tmp_path):
     assert payload["witness"] == "A1"
 
 
+def test_witness_length_bound(capsys, tmp_path):
+    # MAX_WORD_LETTERS letters are accepted; one more is refused before the
+    # word is built, although that word evaluates to the matrix
+    from twistcert.congruence import MAX_WORD_LETTERS
+    from twistcert.matrices import SpMatrix
+
+    ident = write_matrix(tmp_path, SpMatrix.identity(3), "ident.txt")
+    a1 = write_matrix(tmp_path, twist_gen("A", 1, 3), "a1.txt")
+    longest = " ".join(["A1 A1^-1"] * (MAX_WORD_LETTERS // 2))
+    too_long = longest + " A1"
+    assert len(parse_gen_word(longest, 3)) == MAX_WORD_LETTERS
+    with pytest.raises(ValueError, match="65537 letters exceeds the bound 65536"):
+        parse_gen_word(too_long, 3)
+    code, payload, _ = run_json(capsys, "membership", ident, "--genus", "3", "--witness", longest)
+    assert (code, payload["verdict"], payload["witness"]) == (0, "InGamma", longest)
+    code, out, err = run_cli(capsys, "membership", a1, "--genus", "3", "--witness", too_long)
+    assert (code, out) == (2, "")
+    assert err == "error: word of 65537 letters exceeds the bound 65536\n"
+
+
 def test_membership_unknown_exit_3(capsys, tmp_path):
     from twistcert.congruence import eval_gen_word, parse_gen_word
     mystery = eval_gen_word(parse_gen_word("A1 B2 A1 C1^2 B3^-1", 3))

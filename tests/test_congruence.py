@@ -8,7 +8,8 @@ import subprocess
 import sys
 import textwrap
 from array import array
-from collections import deque
+from collections import Counter, deque
+from functools import cached_property, lru_cache
 
 import pytest
 
@@ -38,7 +39,9 @@ from twistcert.congruence import (
     verify_identities,
 )
 from mod_oracle import mod2_block_test_interleaved, reduce_mod
+from test_cli import write_matrix
 from test_sparse_paths import unchecked
+from twistcert.cli import main
 from twistcert.matrices import IntMatrix, SpMatrix, symplectic_form
 from twistcert.words import eval_word, parse_word
 
@@ -553,6 +556,105 @@ def test_closure_cache_env_var(tmp_path, monkeypatch, closure_table):
     table = quotient_closure(2)
     assert path.exists()
     assert table.elements == closure_table.elements
+
+
+def _quiet_main(capsys, *argv):
+    code = main([*map(str, argv), "--format", "json"])
+    capsys.readouterr()
+    return code
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_closure_memo_never_hides_a_changed_cache(capsys, tmp_path, monkeypatch):
+    # the certificate and the well-formed verdict are memoized per process,
+    # but the file is read on every call, so each change below is seen
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+    source = tmp_path / "source.bin"
+    assert _quiet_main(capsys, "index", "--cache", source) == 0
+    assert _sha256(source) == PARENT_CACHE_SHA256
+    raw = source.read_bytes()
+    path = tmp_path / "closure.bin"      # first seen well-formed, not missing
+    path.write_bytes(raw)
+    changes = {
+        "header": b"XXXX" + raw[4:],
+        "swapped_keys": raw[:20] + raw[24:28] + raw[20:24] + raw[28:],
+        "trailing_byte": raw + b"\0",
+    }
+    for n, changed in enumerate(changes.values()):
+        assert _quiet_main(capsys, "index", "--cache", path) == 0   # memo holds raw
+        path.write_bytes(changed)
+        argv = ["index"] if n % 2 else ["membership", v14, "--genus", "2"]
+        assert _quiet_main(capsys, *argv, "--cache", path) == 0
+        assert path.read_bytes() == raw
+    # a well-formed file with the wrong keys is never rewritten, also when
+    # reads of another file evict its verdict between calls
+    wrong = tmp_path / "wrong.bin"
+    wrong_raw = struct.pack("<4sIIII36864I", b"TWCL", 1, 2, 4, 36864, *range(36864))
+    wrong.write_bytes(wrong_raw)
+    for n in range(5):
+        argv = ["index"] if n % 2 else ["membership", v14, "--genus", "2"]
+        assert _quiet_main(capsys, *argv, "--cache", wrong) == 0
+        assert wrong.read_bytes() == wrong_raw
+        if n == 2:
+            assert _quiet_main(capsys, "index", "--cache", path) == 0
+    assert path.read_bytes() == raw
+    # TWISTCERT_CACHE moved to a new path between calls: the new path is written
+    for name in ("env-a.bin", "env-b.bin"):
+        monkeypatch.setenv("TWISTCERT_CACHE", str(tmp_path / name))
+        assert _quiet_main(capsys, "index") == 0
+        assert _sha256(tmp_path / name) == PARENT_CACHE_SHA256
+
+
+def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, closure_table):
+    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+    built = Counter()
+
+    def counting(name, fn):
+        def spy(*args):
+            built[name] += 1
+            return fn(*args)
+        return spy
+
+    layer_certificate = congruence._layer_certificate
+    monkeypatch.setattr(congruence, "_layer_certificate",
+                        counting("certificate", layer_certificate))
+    export = cached_property(counting("export", ClosureTable._export_bytes.func))
+    export.__set_name__(ClosureTable, "_export_bytes")
+    monkeypatch.setattr(ClosureTable, "_export_bytes", export)
+    monkeypatch.setattr(congruence, "_keys_increase", lru_cache(maxsize=1)(
+        counting("scan", congruence._keys_increase.__wrapped__)))
+    congruence._closure_certificate.cache_clear()
+
+    c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
+    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+    existing, new_a, new_b = (tmp_path / name for name in ("existing.bin", "a.bin", "b.bin"))
+    ops = [
+        (["index"], 0),
+        (["index", "--cache", existing], 0),                          # writes it
+        (["membership", c1, "--genus", "2"], 1),
+        (["index", "--cache", existing], 0),
+        (["membership", v14, "--genus", "2", "--cache", new_a], 0),
+        (["membership", c1, "--genus", "2", "--cache", existing], 1),
+        (["index", "--cache", new_b], 0),
+        (["membership", v14, "--genus", "2", "--cache", existing], 0),
+        (["index"], 0),
+        (["index", "--cache", existing], 0),
+    ]
+    assert [_quiet_main(capsys, *argv) for argv, _ in ops] == [code for _, code in ops]
+    assert built == {"certificate": 1, "export": 1, "scan": 1}
+
+    table = quotient_closure(2)
+    fresh = layer_certificate(congruence._closure_letters(2))
+    assert (table.reps, table.basis) == (fresh.reps, fresh.basis)
+    assert table.elements == closure_table.elements     # the BFS oracle's image
+    # three writes in one process, each the pinned bytes, no temporary file left
+    assert [_sha256(p) for p in (existing, new_a, new_b)] == [PARENT_CACHE_SHA256] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.bin", "b.bin", "c1.txt", "existing.bin", "v14.txt"]
 
 
 def test_membership_genus_two(closure_table):
