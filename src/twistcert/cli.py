@@ -299,7 +299,10 @@ def cmd_density(args: argparse.Namespace) -> Outcome:
     return EXIT_OK, payload, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A fresh parser on every call. Given a subcommand name, only that
+    subcommand's parser is built; given None or any other string, all of
+    them are. Help and error text are the same either way."""
     parser = argparse.ArgumentParser(
         prog="twistcert",
         description="Exact certification of Dehn-twist words: Anosov-flow "
@@ -307,11 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "surgery plans, and symplectic subgroup membership.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    names = []
 
-    def command(name, func, help, positional=None, positional_help=None, genus=None,
-                **options):
+    def add(name, func, help, positional=None, positional_help=None, genus=None,
+            **options):
         """Each option is --NAME with add_argument keywords; --genus is
         required unless a default is given."""
+        names.append(name)
+        if command not in (None, name):
+            return
         p = sub.add_parser(name, help=help)
         if positional:
             p.add_argument(positional, help=positional_help)
@@ -322,28 +329,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     cache = {"help": "closure cache file (overrides TWISTCERT_CACHE)"}
-    command("eval", cmd_eval, "evaluate a twist word on homology", "word")
-    command("certify", cmd_certify, "full certification report for a word", "word",
-            strict={"action": "store_true",
-                    "help": "also reject characteristic polynomials in x^k, k >= 3"})
-    command("plan", cmd_plan, "surgery plan and monodromy round trip", "word")
-    command("verify-claims", cmd_verify_claims, "machine-check the generation identities")
-    command("synthesize", cmd_synthesize, "generator word for a root element", "spec",
-            "e.g. V1, W2, X1,3, Z1,2^4 (default exponent 2^(g-1))")
-    command("membership", cmd_membership, "membership verdict for a matrix file",
-            "matrix_file", "one row per line, whitespace-separated integers",
-            witness={"help": "generator word certifying membership"}, cache=cache)
-    command("index", cmd_index, "index of the subgroup in Sp(4,Z)", genus=2, cache=cache)
-    command("density", cmd_density, "certified fraction over random family words",
-            seed={"type": int, "required": True}, samples={"type": int, "required": True},
-            blocks={"type": int, "default": 2}, bound={"type": int, "default": 2})
+    add("eval", cmd_eval, "evaluate a twist word on homology", "word")
+    add("certify", cmd_certify, "full certification report for a word", "word",
+        strict={"action": "store_true",
+                "help": "also reject characteristic polynomials in x^k, k >= 3"})
+    add("plan", cmd_plan, "surgery plan and monodromy round trip", "word")
+    add("verify-claims", cmd_verify_claims, "machine-check the generation identities")
+    add("synthesize", cmd_synthesize, "generator word for a root element", "spec",
+        "e.g. V1, W2, X1,3, Z1,2^4 (default exponent 2^(g-1))")
+    add("membership", cmd_membership, "membership verdict for a matrix file",
+        "matrix_file", "one row per line, whitespace-separated integers",
+        witness={"help": "generator word certifying membership"}, cache=cache)
+    add("index", cmd_index, "index of the subgroup in Sp(4,Z)", genus=2, cache=cache)
+    add("density", cmd_density, "certified fraction over random family words",
+        seed={"type": int, "required": True}, samples={"type": int, "required": True},
+        blocks={"type": int, "default": 2}, bound={"type": int, "default": 2})
+    if command is not None:
+        if command not in names:
+            return build_parser()
+        # the usage line in errors lists every subcommand, as the full parser's
+        # does; a metavar would also rename "argument subcommand" in the
+        # missing- and unknown-subcommand errors, which only the full parser gives
+        sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the one place that adds command and genus to the
     payload, emits it, and maps exceptions to exit 2 (input) or 4 (internal)."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.genus < 2:
             raise CliInputError("genus must be >= 2")

@@ -175,15 +175,23 @@ def _delta_mul(a: Delta, b: Delta) -> Delta:
 
 
 def _delta_inverse(a: Delta, genus: int) -> Delta:
-    """(I + A)^-1 - I = -J A^T J for I + A symplectic: entry (r, c) moves to
-    (c', r'), where x' swaps the halves (x +- g), and changes sign when r and
-    c lie in different halves."""
+    """(I + A)^-1 - I = -J A^T J = J A^T J^-1 for I + A symplectic."""
+    return _delta_conjugate_by_form(a, genus, transpose=True)
+
+
+def _delta_conjugate_by_form(a: Delta, genus: int, transpose: bool = False) -> Delta:
+    """J A J^-1, or J A^T J^-1 with transpose: entry (r, c) moves to (r', c'),
+    or to (c', r'), where x' swaps the halves (x +- g), and changes sign when
+    r and c lie in different halves."""
     n = 2 * genus
     out: Delta = {}
     for r, row in a.items():
         for c, x in row.items():
             flip = (r < genus) != (c < genus)
-            out.setdefault((c + genus) % n, {})[(r + genus) % n] = -x if flip else x
+            r2, c2 = (r + genus) % n, (c + genus) % n
+            if transpose:
+                r2, c2 = c2, r2
+            out.setdefault(r2, {})[c2] = -x if flip else x
     return out
 
 
@@ -279,11 +287,19 @@ def verify_identities(genus: int) -> IdentityReport:
             check(f"z_step[k={k},l={ell}]", lhs, root("Z", k - ell, k, 2 ** ell))
 
     theta = _delta(eval_gen_word(_theta_word(g)))
+    form = _delta(SpMatrix(symplectic_form(g), g))
+    check("rotations_give_form_matrix", theta, form)
+    by_form = theta == form  # then conjugation by theta permutes entries
     theta_inv = inv(theta)
-    check("rotations_give_form_matrix", theta, _delta(SpMatrix(symplectic_form(g), g)))
+
+    def conjugate(a: Delta) -> Delta:
+        if by_form:
+            return _delta_conjugate_by_form(a, g)
+        return _delta_mul(_delta_mul(theta, a), theta_inv)
+
     for jj in range(1, g + 1):
         for kk in range(jj + 1, g + 1):
-            lhs = _delta_mul(_delta_mul(theta, inv(root("Z", jj, kk))), theta_inv)
+            lhs = conjugate(inv(root("Z", jj, kk)))
             check(f"y_from_z_conjugation[j={jj},k={kk}]", lhs, root("Y", jj, kk))
     for i in range(1, g + 1):
         # e_i -> -e_{g+i}, e_{g+i} -> e_i: the two diagonal 1s cleared

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import dense_oracles
 from dense_oracles import match_root_pattern_dense, row_form_product, verify_identities_dense
 from twistcert import congruence
 from twistcert.cli import main
@@ -14,6 +15,7 @@ from twistcert.congruence import (
     GenWord,
     RootSpec,
     _delta,
+    _delta_conjugate_by_form,
     _delta_inverse,
     _delta_mul,
     _match_root_pattern,
@@ -24,7 +26,7 @@ from twistcert.congruence import (
     synthesize_root,
     verify_identities,
 )
-from twistcert.matrices import IntMatrix, SpMatrix
+from twistcert.matrices import IntMatrix, SpMatrix, symplectic_form
 from twistcert.words import (
     CurveLetter,
     TwistWord,
@@ -164,6 +166,42 @@ def test_verify_identities_matches_dense_oracle(genus):
     fast = verify_identities(genus)
     assert fast == verify_identities_dense(genus)
     assert fast.all_passed
+
+
+def test_conjugation_by_form_matches_delta_mul():
+    for g in range(2, 9):
+        form = _delta(SpMatrix(symplectic_form(g), g))
+        form_inv = _delta_inverse(form, g)
+        for j in range(1, g + 1):
+            for k in range(j + 1, g + 1):
+                z_inv = _delta_inverse(congruence._root_delta(RootSpec("Z", j, k), g), g)
+                assert _delta_conjugate_by_form(z_inv, g) == \
+                    _delta_mul(_delta_mul(form, z_inv), form_inv)
+
+
+def test_theta_other_than_the_form_keeps_the_product_path(monkeypatch):
+    # theta^2 = -I fails the rotation identity, so the conjugations fall back
+    # to products with it and report their dense differences like the oracle
+    real = congruence._theta_word
+
+    def theta_word(g):
+        return real(g) * real(g)
+
+    monkeypatch.setattr(congruence, "_theta_word", theta_word)
+    monkeypatch.setattr(dense_oracles, "_theta_word", theta_word)
+    conjugate, plain = congruence._delta_conjugate_by_form, []
+
+    def spy(a, genus, transpose=False):
+        plain.append(not transpose)
+        return conjugate(a, genus, transpose)
+
+    monkeypatch.setattr(congruence, "_delta_conjugate_by_form", spy)
+    report = verify_identities(3)
+    assert plain and not any(plain)  # inverses only, no conjugation by J
+    failing = {c.name for c in report.failures()}
+    assert "rotations_give_form_matrix" in failing
+    assert {f"y_from_z_conjugation[j={j},k={k}]" for j, k in ((1, 2), (1, 3), (2, 3))} < failing
+    assert report == verify_identities_dense(3)
 
 
 def corrupt_root(monkeypatch, target):
