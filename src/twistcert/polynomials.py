@@ -4,16 +4,26 @@ cyclotomic tests, and exact factorization over Z.
 The characteristic polynomial is Faddeev-LeVerrier; for an SpMatrix it runs
 half the steps and mirrors the coefficients, since chi is reciprocal.
 
-Factorization divides out the powers of x, x - 1 and x + 1, then tries the
-odd primes in ZASSENHAUS_PRIMES for one modulo which the rest is squarefree.
-Finding one proves the rest squarefree over Z, and the fast path factors it
-mod p, Hensel-lifts to the Mignotte bound and recombines subsets
-(Zassenhaus). Finding none means a repeated factor, or, far less likely,
-that every listed prime divides the discriminant: Yun's squarefree
-decomposition runs first, with its gcds as primitive remainder sequences
-over Z, and each part takes the same route. The test suite cross-checks both
-paths against an independent brute-force search up to degree 8, Euclid over
-Q and built products with repeated factors.
+Factorization divides out the powers of x, x - 1 and x + 1. A palindromic
+rest, as every characteristic polynomial of a symplectic matrix leaves, has
+even degree 2d and equals x^d q(x + 1/x) for a trace polynomial q of degree
+d. When a prime keeps q squarefree, q is factored, and each irreducible r of
+degree e maps back to x^e r(x + 1/x): irreducible, or f f* for f* the
+reversal of f. That factor is kept whole unless |r(2)| and |r(-2)| are both
+squares, as f f* forces; then it is factored on its own.
+
+Any other rest takes the generic route: it tries the odd primes in
+ZASSENHAUS_PRIMES for one modulo which the rest is squarefree. Finding one
+proves the rest squarefree over Z, and the fast path factors it mod p,
+Hensel-lifts to the Mignotte bound on coefficient lists reduced mod m**2 and
+recombines subsets (Zassenhaus). Finding none means a repeated factor, or,
+far less likely, that every listed prime divides the discriminant: Yun's
+squarefree decomposition runs first, with its gcds as primitive remainder
+sequences over Z, and each part takes the same route. The test suite
+cross-checks the trace route against the generic one, both against an
+independent brute-force search up to degree 8, Euclid over Q and built
+products with repeated factors, and the Hensel lift against the earlier
+IntPoly kernel.
 """
 from __future__ import annotations
 
@@ -248,12 +258,16 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return result
 
 
+@lru_cache(maxsize=None)
+def _orders_of_degree(d: int) -> tuple[int, ...]:
+    """Every n with phi(n) = d: they all lie in n <= 2*d^2, since
+    phi(n) >= sqrt(n/2)."""
+    return tuple(n for n in range(1, 2 * d * d + 1) if euler_phi(n) == d)
+
+
 def cyclotomic_index(f: IntPoly) -> int | None:
-    """The n with f = Phi_n, or None. Searches n <= 2*deg(f)^2, which covers
-    every candidate since phi(n) >= sqrt(n/2)."""
-    d = f.degree
-    return next((n for n in range(1, 2 * d * d + 1)
-                 if euler_phi(n) == d and cyclotomic_polynomial(n) == f), None)
+    """The n with f = Phi_n, or None."""
+    return next((n for n in _orders_of_degree(f.degree) if cyclotomic_polynomial(n) == f), None)
 
 
 def cyclotomic_factor_indices(p: IntPoly) -> list[int] | None:
@@ -283,32 +297,42 @@ def _gf_from_poly(f: IntPoly, p: int) -> list[int]:
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b mod p; p need not be prime (the Hensel steps pass m**2)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
+                out[i + j] += x * y
+    return _gf_trim([c % p for c in out])
+
+
+def _gf_add(a: list[int], b: list[int], p: int) -> list[int]:
+    return _gf_trim([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    return _gf_trim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod p, for p prime or for b with b[-1] == 1
+    (the Hensel steps divide by monic factors mod m**2)."""
     if not b:
         raise ZeroDivisionError
     a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv = pow(lb, p - 2, p)
+    db = len(b) - 1
     if len(a) - 1 < db:
         return [], _gf_trim(a)
+    inv = 1 if b[-1] == 1 else pow(b[-1], p - 2, p)
     quot = [0] * (len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
-        q = (a[i + db] * inv) % p
-        quot[i] = q
+        q = quot[i] = a[i + db] * inv % p
         if q:
-            for j, c in enumerate(b):
-                a[i + j] = (a[i + j] - q * c) % p
-    return _gf_trim(quot), _gf_trim(a[:db])
+            for j in range(db):
+                a[i + j] -= q * b[j]
+    return _gf_trim(quot), _gf_trim([c % p for c in a[:db]])
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -327,10 +351,8 @@ def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
     while b:
         q, r = _gf_divmod(a, b, p)
         a, b = b, r
-        s0, s1 = s1, _gf_trim([(x - y) % p for x, y in
-                               itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _gf_trim([(x - y) % p for x, y in
-                               itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
@@ -365,9 +387,7 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: random.Random) -> list[list
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
         h = _gf_pow_mod(h, p, v, p)
-        diff = _gf_trim([(x - y) % p for x, y in
-                         itertools.zip_longest(h, [0, 1], fillvalue=0)])
-        g = _gf_gcd(diff, v, p)
+        g = _gf_gcd(_gf_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             stages.append((g, d))
             v = _gf_divmod(v, g, p)[0]
@@ -388,9 +408,7 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: random.Random) -> list[list
                 r = _gf_trim(r)
                 if len(r) <= 1:
                     continue
-                t = _gf_pow_mod(r, (p ** d - 1) // 2, u, p)
-                t = _gf_trim([(x - y) % p for x, y in
-                              itertools.zip_longest(t, [1], fillvalue=0)])
+                t = _gf_sub(_gf_pow_mod(r, (p ** d - 1) // 2, u, p), [1], p)
                 w = _gf_gcd(t, u, p)
                 if 1 < len(w) < len(u):
                     work.append(w)
@@ -403,22 +421,23 @@ def _gf_factor_squarefree(f: list[int], p: int, rng: random.Random) -> list[list
 # Hensel lifting and Zassenhaus recombination
 # ---------------------------------------------------------------------------
 
-def _hensel_step(m: int, f: IntPoly, g: IntPoly, h: IntPoly,
-                 s: IntPoly, t: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly, IntPoly]:
-    """One quadratic Hensel step: lifts f = g*h (mod m) to mod m**2."""
+def _hensel_step(m: int, f: list[int], g: list[int], h: list[int], s: list[int], t: list[int],
+                 last: bool) -> tuple[list[int], list[int], list[int] | None, list[int] | None]:
+    """One quadratic Hensel step (von zur Gathen-Gerhard, Algorithm 15.10):
+    from f = g*h and s*g + t*h = 1 mod m, with g, h monic, to the same
+    mod m**2. Coefficient lists reduced into [0, m**2). On a node's last
+    step the new s and t would go unused: they come back as None."""
     mm = m * m
-
-    def trunc(p: IntPoly) -> IntPoly:
-        return IntPoly(tuple(_sym(c, mm) for c in p.coeffs))
-
-    e = trunc(f - g * h)
-    q, r = (e * s).monic_divmod(h)
-    g1 = trunc(g + e * t + q * g)
-    h1 = trunc(h + r)
-    b = trunc(s * g1 + t * h1 - ONE)
-    c, d = (s * b).monic_divmod(h1)
-    s1 = trunc(s - d)
-    t1 = trunc(t - t * b - c * g1)
+    e = _gf_sub(f, _gf_mul(g, h, mm), mm)
+    q, r = _gf_divmod(_gf_mul(e, s, mm), h, mm)
+    g1 = _gf_add(g, _gf_add(_gf_mul(e, t, mm), _gf_mul(q, g, mm), mm), mm)
+    h1 = _gf_add(h, r, mm)
+    if last:
+        return g1, h1, None, None
+    b = _gf_sub(_gf_add(_gf_mul(s, g1, mm), _gf_mul(t, h1, mm), mm), [1], mm)
+    c, d = _gf_divmod(_gf_mul(s, b, mm), h1, mm)
+    s1 = _gf_sub(s, d, mm)
+    t1 = _gf_sub(t, _gf_add(_gf_mul(t, b, mm), _gf_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
 
 
@@ -440,30 +459,27 @@ def _hensel_lift(f: IntPoly, mod_factors: list[list[int]], p: int, bound: int) -
     while target <= bound:
         target *= target
 
-    def lift(f_int: IntPoly, parts: list[list[int]]) -> list[IntPoly]:
+    def lift(f_mod: list[int], parts: list[list[int]]) -> list[list[int]]:
         if len(parts) == 1:
-            return [f_int]
+            return [f_mod]
         half = len(parts) // 2
-        g_mod = [1]
+        g = [1]
         for fac in parts[:half]:
-            g_mod = _gf_mul(g_mod, fac, p)
-        h_mod = [1]
+            g = _gf_mul(g, fac, p)
+        h = [1]
         for fac in parts[half:]:
-            h_mod = _gf_mul(h_mod, fac, p)
-        s_mod, t_mod, one = _gf_gcdex(g_mod, h_mod, p)
+            h = _gf_mul(h, fac, p)
+        s, t, one = _gf_gcdex(g, h, p)
         if one != [1]:
             raise ArithmeticError("lift factors are not coprime mod p")
-        g = IntPoly(tuple(_sym(c, p) for c in g_mod))
-        h = IntPoly(tuple(_sym(c, p) for c in h_mod))
-        s = IntPoly(tuple(_sym(c, p) for c in s_mod))
-        t = IntPoly(tuple(_sym(c, p) for c in t_mod))
         m = p
         while m < target:
-            g, h, s, t = _hensel_step(m, f_int, g, h, s, t)
+            g, h, s, t = _hensel_step(m, f_mod, g, h, s, t, m * m >= target)
             m *= m
         return lift(g, parts[:half]) + lift(h, parts[half:])
 
-    return lift(f, mod_factors), target
+    leaves = lift([c % target for c in f.coeffs], mod_factors)
+    return [IntPoly._exact(tuple(_sym(c, target) for c in leaf)) for leaf in leaves], target
 
 
 def _mignotte_bound(f: IntPoly) -> int:
@@ -598,6 +614,69 @@ def _strip_unit_roots(f: IntPoly) -> tuple[IntPoly, list[IntPoly]]:
     return f, factors
 
 
+def _trace_polynomial(f: IntPoly) -> IntPoly:
+    """The q of degree d with f = x^d q(x + 1/x), for f palindromic of degree
+    2d: q = c_d + sum_k c_{d+k} T_k(y), where T_k(x + 1/x) = x^k + x^-k is
+    T_0 = 2, T_1 = y, T_k = y T_{k-1} - T_{k-2}."""
+    c, d = f.coeffs, f.degree // 2
+    q = [c[d]] + [0] * d
+    t_prev, t_k = [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, a in enumerate(t_k):
+            q[i] += c[d + k] * a
+        t_next = [0] + t_k
+        for i, a in enumerate(t_prev):
+            t_next[i] -= a
+        t_prev, t_k = t_k, t_next
+    return IntPoly._exact(tuple(q))
+
+
+def _from_trace(r: IntPoly) -> IntPoly:
+    """x^e r(x + 1/x) for r of degree e, by Horner in y: step i takes P to
+    P (x^2 + 1) + r_{e-i} x^i."""
+    out = [r.coeffs[-1]]
+    for i, a in enumerate(reversed(r.coeffs[:-1]), 1):
+        out = [x + y for x, y in zip(out + [0, 0], [0, 0] + out)]
+        out[i] += a
+    return IntPoly._exact(tuple(out))
+
+
+def _is_square(n: int) -> bool:
+    return math.isqrt(n) ** 2 == n
+
+
+def _factor_through_trace(body: IntPoly, rng: random.Random) -> list[IntPoly] | None:
+    """Irreducible factors of a palindromic body with no root 0, 1 or -1
+    (so of even degree 2d), read off its trace polynomial q; None when no
+    prime in ZASSENHAUS_PRIMES keeps q squarefree.
+
+    Each irreducible r of q gives R = x^e r(x + 1/x), irreducible or f f*
+    with f* the reversal of f up to sign. R = f f* makes |r(2)| = |R(1)| =
+    f(1)^2 and |r(-2)| = |R(-1)| = f(-1)^2, so R is kept whole unless both
+    are squares; if they are, R takes the Zassenhaus route of its own degree.
+    """
+    q = _trace_polynomial(body)
+    prime = _squarefree_prime(q)
+    if prime is None:
+        return None
+    factors = []
+    for r in _factor_squarefree_monic(q, prime, rng):
+        big = _from_trace(r)
+        if _is_square(abs(r.evaluate(2))) and _is_square(abs(r.evaluate(-2))):
+            factors += _factor_squarefree(big, rng)
+        else:
+            factors.append(big)
+    return factors
+
+
+def _factor_squarefree(f: IntPoly, rng: random.Random) -> list[IntPoly]:
+    """Zassenhaus factorization of a monic f that is squarefree over Z."""
+    prime = _squarefree_prime(f)
+    if prime is None:
+        raise ArithmeticError("no prime in ZASSENHAUS_PRIMES keeps a squarefree factor squarefree")
+    return _factor_squarefree_monic(f, prime, rng)
+
+
 def canonical_factor_order(factors: list[IntPoly]) -> tuple[IntPoly, ...]:
     """Deterministic multiset order: by (degree, coefficient tuple)."""
     return tuple(sorted(factors, key=lambda f: (f.degree, f.coeffs)))
@@ -617,16 +696,16 @@ def factor_over_Z(p: IntPoly) -> tuple[IntPoly, ...]:
         return ()
     rng = random.Random(0x5EED ^ p.degree)
     body, factors = _strip_unit_roots(p)
-    if body.degree > 0:
+    traced = _factor_through_trace(body, rng) if body.degree > 0 and is_reciprocal(body) else None
+    if traced is not None:
+        factors += traced
+    elif body.degree > 0:
         prime = _squarefree_prime(body)
         if prime is not None:  # body is squarefree over Z: Yun is skipped
             factors += _factor_squarefree_monic(body, prime, rng)
         else:
             for part, mult in _squarefree_decomposition(body):
-                prime = _squarefree_prime(part)
-                if prime is None:
-                    raise ArithmeticError("no prime in ZASSENHAUS_PRIMES keeps a Yun part squarefree")
-                factors += _factor_squarefree_monic(part, prime, rng) * mult
+                factors += _factor_squarefree(part, rng) * mult
     if math.prod(factors, start=ONE) != p:
         raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)
