@@ -1,7 +1,9 @@
 """The subgroup generated by the twist matrices A_i^{+-1}, B_i^{+-1},
 C_i^{+-2}: root-subgroup matrices, machine verification of the generation
 identities, constructive word synthesis, the mod-2 block obstruction, the
-exact genus-2 finite-quotient membership test, and the index computation.
+image mod 4 as a layer certificate at any genus g, over keys with entry (i, c)
+in bits 2(2g i + c), a byte per row at g = 2 (where a full generator recheck
+of its elements takes about 0.2 s), and the exact genus-2 membership and index.
 
 Generator words evaluate in literal (written) product order, unlike twist
 words; every synthesized certificate is independently re-checkable by
@@ -14,11 +16,12 @@ small, and no dense matrix is formed unless an identity fails.
 """
 from __future__ import annotations
 
+import errno
 import operator
 import os
+import stat
 import struct
 import threading
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -34,9 +37,6 @@ MAX_WORD_LETTERS = 2 ** 16
 CACHE_ENV_VAR = "TWISTCERT_CACHE"
 _CACHE_MAGIC = b"TWCL"
 _CACHE_VERSION = 1
-
-# |Sp(4, F_2)| = 2^4 * (2^2 - 1)(2^4 - 1)
-_SP4_F2_ORDER = 720
 
 
 def sp_group_order_mod(genus: int, modulus: int) -> int:
@@ -349,18 +349,13 @@ class GenWord:
 
     def __post_init__(self) -> None:
         for kind, index, exponent in self.letters:
-            if kind in ("A", "B"):
-                if exponent not in (1, -1):
-                    raise ValueError(f"{kind}-letters carry exponent +-1, got {exponent}")
-                if not 1 <= index <= self.genus:
-                    raise ValueError(f"{kind}{index} out of range")
-            elif kind == "C":
-                if exponent not in (2, -2):
-                    raise ValueError(f"C-letters carry exponent +-2, got {exponent}")
-                if not 1 <= index <= self.genus - 1:
-                    raise ValueError(f"C{index} out of range")
-            else:
+            if kind not in ("A", "B", "C"):
                 raise ValueError(f"unknown generator kind {kind!r}")
+            power, top = (2, self.genus - 1) if kind == "C" else (1, self.genus)
+            if exponent not in (power, -power):
+                raise ValueError(f"{kind}-letters carry exponent +-{power}, got {exponent}")
+            if not 1 <= index <= top:
+                raise ValueError(f"{kind}{index} out of range")
 
     @classmethod
     def _exact(cls, genus: int, letters: tuple[tuple[str, int, int], ...]) -> GenWord:
@@ -530,16 +525,12 @@ def mod2_block_test(m: SpMatrix, genus: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Finite-quotient image (genus 2, modulus 4)
+# Finite-quotient image (modulus 4)
 # ---------------------------------------------------------------------------
 
 def _closure_letters(genus: int) -> list[tuple[str, int, int]]:
-    letters = []
-    for i in range(1, genus + 1):
-        letters += [("A", i, 1), ("A", i, -1), ("B", i, 1), ("B", i, -1)]
-    for i in range(1, genus):
-        letters += [("C", i, 2), ("C", i, -2)]
-    return letters
+    return ([(kind, i, e) for i in range(1, genus + 1) for kind in "AB" for e in (1, -1)]
+            + [("C", i, e) for i in range(1, genus) for e in (2, -2)])
 
 
 @lru_cache(maxsize=None)
@@ -550,68 +541,54 @@ def closure_generators(genus: int = 2) -> tuple[SpMatrix, ...]:
     return tuple(eval_gen_word(GenWord(genus, (letter,))) for letter in _closure_letters(genus))
 
 
-def _row_tables(genus: int, modulus: int) -> list[bytes]:
-    """Per closure generator G, the map of row bytes r -> r G mod q. At genus 2
-    a packed key holds matrix row i in byte i, so bytes.translate through the
-    table right-multiplies every key by G."""
-    bits = (modulus - 1).bit_length()
-    tables = []
-    for gen in closure_generators(genus):
-        cols = tuple(zip(*gen.m.rows))
-        rows = [[(byte >> (bits * j)) & (modulus - 1) for j in range(2 * genus)]
-                for byte in range(256)]
-        tables.append(bytes(sum((sum(map(operator.mul, row, col)) % modulus) << (bits * j)
-                                for j, col in enumerate(cols))
-                            for row in rows))
-    return tables
-
-
-# A 4x4 matrix mod 4 packs into 32 bits (`_mod4_key`): entry (i, c) in bits
-# 2(4i + c) and 2(4i + c) + 1, so row i is byte i. The low bit of every entry
-# is its reduction mod 2, so `key & _LOW_BITS` is the key of the matrix mod 2
-# in the same layout, and F_2 matrices below use that layout.
-_LOW_BITS = 0x55555555
-_COLUMN_0 = 0x03030303        # entry (i, 0) of every row i
-_IDENTITY_KEY = 0x40100401    # the identity, mod 4 and mod 2 alike
-_LAYER_DIM = 10               # dim sp(4, F_2) = g(2g + 1) at g = 2
-
-
 def _mod4_key(rows: tuple[tuple[int, ...], ...]) -> int:
-    """The packed key of a 4x4 integer matrix mod 4."""
-    return sum((x % 4) << (2 * (4 * i + c))
+    """The packed key of a 2g x 2g integer matrix mod 4: entry (i, c) in bits
+    2(2g i + c) and 2(2g i + c) + 1, so row i fills 4g bits, one byte at g = 2.
+    The low bit of every entry is its reduction mod 2, so `key & low` is the
+    key of the matrix mod 2 in the same layout, which F_2 matrices below use."""
+    n = len(rows)
+    return sum((x % 4) << (2 * (n * i + c))
                for i, row in enumerate(rows) for c, x in enumerate(row))
 
 
-def _f2_mul(a: int, b: int) -> int:
+@lru_cache(maxsize=None)
+def _masks(genus: int) -> tuple[int, int, int]:
+    """The low bit of every entry, entry (i, 0) of every row i, and the
+    identity (mod 4 and mod 2 alike), as packed keys at genus g."""
+    n = 2 * genus
+    return ((4 ** (n * n) - 1) // 3, sum(3 << 2 * n * i for i in range(n)),
+            sum(1 << 2 * (n + 1) * i for i in range(n)))
+
+
+def _f2_mul(a: int, b: int, genus: int) -> int:
     """a b over F_2: row i of the product is the XOR of the rows c of b with
     a[i][c] = 1."""
+    width = 4 * genus                               # bits per row
+    row = (1 << width) - 1
     out = 0
     while a:
         low = a & -a
         a ^= low
-        pos = low.bit_length() - 1                  # 8i + 2c
-        out ^= ((b >> (4 * (pos & 6))) & 0xFF) << (pos & ~7)
+        i, c2 = divmod(low.bit_length() - 1, width)     # c2 = 2c
+        out ^= ((b >> (2 * genus * c2)) & row) << (width * i)
     return out
 
 
-def _f2_symplectic_inverse(h: int) -> int:
+def _f2_symplectic_inverse(h: int, genus: int) -> int:
     """J^-1 h^T J mod 2, which is h^-1 when h is symplectic mod 2. Mod 2, J
-    swaps index t with t + g, so entry (i, c) is h[c ^ 2][i ^ 2]."""
-    out = 0
-    for i in range(4):
-        for c in range(4):
-            if h >> (2 * (4 * (c ^ 2) + (i ^ 2))) & 1:
-                out |= 1 << (2 * (4 * i + c))
-    return out
+    swaps index t with t' = t + g mod 2g, so entry (i, c) is h[c'][i']."""
+    n = 2 * genus
+    return sum(1 << 2 * (n * i + c) for i in range(n) for c in range(n)
+               if h >> 2 * (n * ((c + genus) % n) + (i + genus) % n) & 1)
 
 
-def _times(key: int, delta: tuple[tuple[int, int, int], ...]) -> int:
-    """key (I + delta) mod 4, for delta given by its nonzero entries
-    (k, j, v): column j gains v times column k of key."""
+def _times(key: int, delta: tuple[tuple[int, int, int], ...], column: int) -> int:
+    """key (I + delta) mod 4, for delta given by its nonzero entries (k, j, v):
+    column j gains v times column k of key; `column` masks column 0."""
     out = key
     for k, j, v in delta:
-        column = ((out >> (2 * j)) & _COLUMN_0) + ((key >> (2 * k)) & _COLUMN_0) * v
-        out = out & ~(_COLUMN_0 << (2 * j)) | (column & _COLUMN_0) << (2 * j)
+        col = ((out >> (2 * j)) & column) + ((key >> (2 * k)) & column) * v
+        out = out & ~(column << (2 * j)) | (col & column) << (2 * j)
     return out
 
 
@@ -625,12 +602,14 @@ def _sift(basis: list[int] | tuple[int, ...], x: int) -> int:
 
 @dataclass(frozen=True)
 class ClosureTable:
-    """The image of the subgroup in Sp(4, Z/4) as a layer certificate.
+    """The image of the subgroup in Sp(2g, Z/4) as a layer certificate.
 
     The image is an extension of H_2, its reduction mod 2, by N, its part in
     Gamma(2)/Gamma(4). `reps` holds one mod-4 lift per element of H_2, as
-    packed keys; `basis` is an F_2 basis of the layer vectors X of N, whose
-    elements are I + 2X mod 4, with X in the mod-2 key layout.
+    packed keys: entry (i, c) in bits 2(2g i + c), so at g = 2 row i is byte
+    i. `basis` is an F_2 basis of the layer vectors X of N, whose elements
+    are I + 2X mod 4, with X in the mod-2 key layout. `recheck_generator_closed`
+    multiplies every element by every generator, about 0.2 s at g = 2.
     """
 
     genus: int
@@ -655,11 +634,12 @@ class ClosureTable:
     def _keys(self) -> list[int]:
         """Every packed key of the image, coset by coset: (I + 2X) r for the
         lift r of h is r + 2 X h, which is r XOR (X h moved to the high bits)."""
+        low = _masks(self.genus)[0]
         keys = []
         for rep in self.reps:
             coset = [rep]
             for x in self.basis:
-                step = _f2_mul(x, rep & _LOW_BITS) << 1
+                step = _f2_mul(x, rep & low, self.genus) << 1
                 coset += [key ^ step for key in coset]
             keys += coset
         return keys
@@ -669,68 +649,81 @@ class ClosureTable:
         m r^-1 must sift to zero in the basis."""
         if m.genus != self.genus:
             raise ValueError("genus mismatch")
+        g, low = self.genus, _masks(self.genus)[0]
         key = _mod4_key(m.m.rows)
-        h = key & _LOW_BITS
-        rep = next((r for r in self.reps if r & _LOW_BITS == h), None)
+        h = key & low
+        rep = next((r for r in self.reps if r & low == h), None)
         if rep is None:
             return False
-        x = _f2_mul(((key ^ rep) >> 1) & _LOW_BITS, _f2_symplectic_inverse(h))
+        x = _f2_mul(((key ^ rep) >> 1) & low, _f2_symplectic_inverse(h, g), g)
         return _sift(self.basis, x) == 0
 
     def recheck_generator_closed(self) -> bool:
-        """Full pass: every element times every generator stays inside."""
-        raw = array("I", self.elements).tobytes()
-        return all(self.elements.issuperset(array("I", raw.translate(table)))
-                   for table in _row_tables(self.genus, self.modulus))
+        """Full pass: every element times every generator stays inside. Row i
+        of key G is row i of key times G; each distinct row is multiplied once."""
+        n = 2 * self.genus
+        shifts, mask = range(0, 2 * n * n, 2 * n), (1 << 2 * n) - 1
+        rows = [[key >> s & mask for key in self.elements] for s in shifts]
+        entries = {row: [row >> 2 * c & 3 for c in range(n)] for row in set().union(*rows)}
+        for gen in closure_generators(self.genus):
+            times = {row: sum(sum(map(operator.mul, e, col)) % 4 << 2 * j
+                              for j, col in enumerate(zip(*gen.m.rows)))
+                     for row, e in entries.items()}
+            products = (map({row: p << s for row, p in times.items()}.__getitem__, column)
+                        for s, column in zip(shifts, rows))
+            if not self.elements.issuperset(map(sum, zip(*products))):
+                return False
+        return True
 
 
-def _layer_certificate(letters: list[tuple[str, int, int]]) -> ClosureTable:
-    """The image mod 4 of the group generated by the genus-2 closure
-    generators of the given letters.
+def _layer_certificate(letters: list[tuple[str, int, int]], genus: int) -> ClosureTable:
+    """The image mod 4 of the group generated by the closure generators of
+    the given letters at genus g.
 
     A BFS over H_2 keeps the first mod-4 product r reaching each class mod
     2. Every other product p = r s lands on the class h of an earlier rep r',
     and the Schreier element p r'^-1 = I + 2X lies in N, with X = D h^-1 mod 2
     for D = (p - r') / 2. By Schreier's lemma these elements generate N, so
-    the X span its layer, and |image| = |H_2| 2^rank. The layer sp(4, F_2)
-    has dimension 10, so the sifting stops at rank 10; the BFS goes on.
+    the X span its layer, and |image| = |H_2| 2^rank. The layer sp(2g, F_2)
+    has dimension g(2g + 1): the sifting stops at that rank, the BFS goes on.
     """
-    by_letter = dict(zip(_closure_letters(2), closure_generators(2)))
+    by_letter = dict(zip(_closure_letters(genus), closure_generators(genus)))
     deltas = [tuple((k, j, x % 4) for k, row in _delta(by_letter[letter]).items()
                     for j, x in row.items() if x % 4)
               for letter in letters]
-    reps = [_IDENTITY_KEY]
-    classes = {_IDENTITY_KEY: (_IDENTITY_KEY, _IDENTITY_KEY)}   # h -> (rep, h^-1)
+    low, column, identity = _masks(genus)
+    reps = [identity]
+    classes = {identity: (identity, identity)}                  # h -> (rep, h^-1)
     basis: list[int] = []
     for rep in reps:                                            # grows as it runs
         for delta in deltas:
-            p = _times(rep, delta)
-            h = p & _LOW_BITS
+            p = _times(rep, delta, column)
+            h = p & low
             if h not in classes:
-                h_inv = _f2_symplectic_inverse(h)
+                h_inv = _f2_symplectic_inverse(h, genus)
                 # p r'^-1 = I mod 2 for every Schreier element with this r'
-                if _f2_mul(h, h_inv) != _IDENTITY_KEY:
+                if _f2_mul(h, h_inv, genus) != identity:
                     raise ArithmeticError("a closure generator is not symplectic mod 2, "
                                           "so a Schreier element is not I mod 2")
                 classes[h] = (p, h_inv)
                 reps.append(p)
-            elif len(basis) < _LAYER_DIM:
+            elif len(basis) < genus * (2 * genus + 1):
                 lift, h_inv = classes[h]
-                x = _sift(basis, _f2_mul(((p ^ lift) >> 1) & _LOW_BITS, h_inv))
+                x = _sift(basis, _f2_mul(((p ^ lift) >> 1) & low, h_inv, genus))
                 if x:
                     basis.append(x)
                     basis.sort(reverse=True)
-    table = ClosureTable(2, 4, tuple(reps), tuple(basis))
-    if sp_group_order_mod(2, 4) % table.size:
-        raise ArithmeticError(f"image size {table.size} does not divide |Sp(4, Z/4)|")
+    table = ClosureTable(genus, 4, tuple(reps), tuple(basis))
+    if sp_group_order_mod(genus, 4) % table.size:
+        raise ArithmeticError(f"image size {table.size} does not divide |Sp({2 * genus}, Z/4)|")
     return table
 
 
-@lru_cache(maxsize=1)
-def _closure_certificate() -> ClosureTable:
-    """The certificate of all ten closure letters. It depends on constants
-    only, so it is built once per process and shared: the table is frozen."""
-    return _layer_certificate(_closure_letters(2))
+@lru_cache(maxsize=None)
+def _closure_certificate(genus: int) -> ClosureTable:
+    """The certificate of all the closure letters, built once per process and
+    genus and shared: it depends on constants only, and the table is frozen."""
+    return _layer_certificate(_closure_letters(genus), genus)
 
 
 def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
@@ -744,7 +737,7 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
     """
     if genus != 2:
         raise ValueError("exact closure mode is implemented for genus 2 only")
-    table = _closure_certificate()
+    table = _closure_certificate(2)
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV_VAR)
     if cache_path:
@@ -763,10 +756,15 @@ def _cache_header(table: ClosureTable) -> bytes:
 
 def _cache_well_formed(path: str, table: ClosureTable) -> bool:
     """The exact header with count = table.size, exactly that many keys after
-    it, each larger than the one before. A missing file is not well-formed."""
+    it, each larger than the one before. A missing file is not well-formed; a
+    path that is there but is not a regular file (a directory, a device, a
+    FIFO) raises OSError before anything opens or replaces it."""
     header = _cache_header(table)
     size = len(header) + 4 * table.size
     try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            raise OSError(os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file")
         with open(path, "rb") as fh:
             data = fh.read(size + 1)
     except FileNotFoundError:

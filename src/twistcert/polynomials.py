@@ -696,16 +696,17 @@ def factor_over_Z(p: IntPoly) -> tuple[IntPoly, ...]:
         return ()
     rng = random.Random(0x5EED ^ p.degree)
     body, factors = _strip_unit_roots(p)
-    traced = _factor_through_trace(body, rng) if body.degree > 0 and is_reciprocal(body) else None
+    reciprocal = body.degree > 0 and is_reciprocal(body)
+    traced = _factor_through_trace(body, rng) if reciprocal else None
+    # q = r^2 s mod p makes body = R^2 S mod p: no body prime if q has none
+    prime = None if reciprocal or body.degree == 0 else _squarefree_prime(body)
     if traced is not None:
         factors += traced
+    elif prime is not None:  # body is squarefree over Z: Yun is skipped
+        factors += _factor_squarefree_monic(body, prime, rng)
     elif body.degree > 0:
-        prime = _squarefree_prime(body)
-        if prime is not None:  # body is squarefree over Z: Yun is skipped
-            factors += _factor_squarefree_monic(body, prime, rng)
-        else:
-            for part, mult in _squarefree_decomposition(body):
-                factors += _factor_squarefree(part, rng) * mult
+        for part, mult in _squarefree_decomposition(body):
+            factors += _factor_squarefree(part, rng) * mult
     if math.prod(factors, start=ONE) != p:
         raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -254,6 +255,22 @@ def test_unusable_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, ca
     assert err.count("\n") == 1
 
 
+def test_cache_path_that_is_not_a_regular_file_is_left_alone(tmp_path):
+    # a FIFO would block the read, and a rename would replace it: neither
+    # happens, and the call exits 2
+    fifo = tmp_path / "closure.fifo"
+    os.mkfifo(fifo)
+    script = "import sys\nfrom twistcert.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    result = subprocess.run([sys.executable, "-c", script, "index", "--cache", str(fifo)],
+                            env=env, capture_output=True, text=True, timeout=30)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: cannot use cache {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 def test_well_formed_cache_with_wrong_keys_is_not_read(capsys, tmp_path):
     # right header and count, increasing keys, none of them the image's: the
     # file is export-only, so no verdict reads it and it is not rewritten
@@ -291,9 +308,9 @@ def test_index_and_membership_never_run_the_bfs(capsys, tmp_path, monkeypatch):
     expected = outputs("plain.bin")
 
     def no_bfs(*args):
-        raise AssertionError("the BFS row tables were built")
+        raise AssertionError("the full-pass recheck ran")
 
-    monkeypatch.setattr(congruence, "_row_tables", no_bfs)
+    monkeypatch.setattr(congruence.ClosureTable, "recheck_generator_closed", no_bfs)
     assert outputs("patched.bin") == expected
 
 

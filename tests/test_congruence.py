@@ -307,16 +307,19 @@ def test_closure_size_and_membership(closure_table):
 
 def test_contains_key_matches_packed_word():
     rng = random.Random(89)
-    mats = [eval_gen_word(random_gen_word(rng, 2, rng.randint(8, 40))) for _ in range(20)]
+    mats = [eval_gen_word(random_gen_word(rng, g, rng.randint(8, 40)))
+            for g in (2, 3, 4) for _ in range(20)]
     mats += [SpMatrix(IntMatrix.from_unit_entries(4, {(1, 3): t}), 2)
              for t in (-(2 ** 70) - 1, -5, 7, 3 ** 45)]
     assert any(min(map(min, m.m.rows)) < 0 for m in mats)
     assert any(max(map(max, m.m.rows)) > 2 ** 64 for m in mats)
     for m in mats:
         assert congruence._mod4_key(m.m.rows) == reduce_mod(m.m, 4).packed_word()
-    for _ in range(50):
-        rows = tuple(tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(4)) for _ in range(4))
-        assert congruence._mod4_key(rows) == reduce_mod(IntMatrix(rows), 4).packed_word()
+    for n in (4, 6, 8):
+        for _ in range(50):
+            rows = tuple(tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(n))
+                         for _ in range(n))
+            assert congruence._mod4_key(rows) == reduce_mod(IntMatrix(rows), 4).packed_word()
 
 
 def test_contains_refuses_another_genus(closure_table):
@@ -329,6 +332,10 @@ def test_contains_refuses_another_genus(closure_table):
 
 def test_closure_generator_closed(closure_table):
     assert closure_table.recheck_generator_closed()
+    # one layer vector or one lift short, the set is not closed
+    reps, basis = closure_table.reps, closure_table.basis
+    assert not ClosureTable(2, 4, reps, basis[:-1]).recheck_generator_closed()
+    assert not ClosureTable(2, 4, reps[:-1], basis).recheck_generator_closed()
 
 
 def test_closure_matches_pure_python_bfs(closure_table):
@@ -338,19 +345,20 @@ def test_closure_matches_pure_python_bfs(closure_table):
 
 
 def _bfs_image(gens):
-    """Right-multiplication BFS from the identity over 4x4 matrices mod 4.
-    A state is held as its `packed_word` (entry (i, c) in bits 8i + 2c) and
-    multiplied by a generator entry by entry: no row tables, no column
+    """Right-multiplication BFS from the identity over n x n matrices mod 4.
+    A state is held as its `packed_word` (entry (i, c) in bits 2(n i + c))
+    and multiplied by a generator entry by entry: no row products, no column
     kernel and no key packing of the package are involved."""
+    n = gens[0].dim
     cols = [tuple(zip(*gen.rows)) for gen in gens]
-    start = reduce_mod(IntMatrix.identity(4), 4).packed_word()
+    start = reduce_mod(IntMatrix.identity(n), 4).packed_word()
     seen = {start}
     queue = deque([start])
     while queue:
         key = queue.popleft()
-        rows = [[(key >> (8 * i + 2 * c)) & 3 for c in range(4)] for i in range(4)]
+        rows = [[(key >> (2 * (n * i + c))) & 3 for c in range(n)] for i in range(n)]
         for gen_cols in cols:
-            nxt = sum((sum(map(operator.mul, row, col)) & 3) << (8 * i + 2 * c)
+            nxt = sum((sum(map(operator.mul, row, col)) & 3) << (2 * (n * i + c))
                       for i, row in enumerate(rows) for c, col in enumerate(gen_cols))
             if nxt not in seen:
                 seen.add(nxt)
@@ -358,31 +366,55 @@ def _bfs_image(gens):
     return seen
 
 
-@pytest.mark.parametrize("dropped, size", [
-    ({"C"}, 36 * 2 ** 6),          # SL_2(Z/4)^2: the C_1^2 layer directions are missing
-    ({"B", "C"}, 16),              # A_1, A_2: two commuting elements of order 4
-    ({"A"}, 4 * 2 ** 6),           # B_1, B_2, C_1^2
+@pytest.mark.parametrize("genus, dropped, size", [
+    # SL_2(Z/4)^2: the C_1^2 layer directions are missing
+    pytest.param(2, {"C"}, 36 * 2 ** 6, id="dropped0-2304"),
+    # A_1, A_2: two commuting elements of order 4
+    pytest.param(2, {"B", "C"}, 16, id="dropped1-16"),
+    pytest.param(2, {"A"}, 4 * 2 ** 6, id="dropped2-256"),       # B_1, B_2, C_1^2
+    pytest.param(3, {"B", "C"}, 2 ** 3 * 2 ** 3, id="g3-dropped-BC-64"),
+    pytest.param(3, {"B"}, 2 ** 3 * 2 ** 5, id="g3-dropped-B-256"),  # A_i and C_i^2
 ])
-def test_layer_certificate_matches_bfs_on_letter_subsets(dropped, size):
-    letters = [l for l in congruence._closure_letters(2) if l[0] not in dropped]
-    table = congruence._layer_certificate(letters)
-    by_letter = dict(zip(congruence._closure_letters(2), closure_generators(2)))
+def test_layer_certificate_matches_bfs_on_letter_subsets(genus, dropped, size):
+    letters = [l for l in congruence._closure_letters(genus) if l[0] not in dropped]
+    table = congruence._layer_certificate(letters, genus)
+    by_letter = dict(zip(congruence._closure_letters(genus), closure_generators(genus)))
     image = _bfs_image([reduce_mod(by_letter[l].m, 4) for l in letters])
     assert table.size == len(image) == size
     assert table.elements == image
-    assert len(table.basis) < 10
-    # contains agrees with the BFS set on words over all ten letters; C_1^2
+    assert len(table.basis) < genus * (2 * genus + 1)
+    assert not table.recheck_generator_closed()     # a dropped letter leaves the image
+    # contains agrees with the BFS set on words over all the letters; C_i^2
     # is I mod 2, so words with it reach classes in H_2 whose layer vector
     # the sift must reject
     rng = random.Random(71)
+    low = int("01" * (2 * genus) ** 2, 2)      # the low bit of every entry
     outcomes = set()
     for _ in range(150):
-        m = eval_gen_word(random_gen_word(rng, 2, rng.randint(1, 8)))
+        m = eval_gen_word(random_gen_word(rng, genus, rng.randint(1, 8)))
         key = reduce_mod(m.m, 4).packed_word()
-        in_h2 = any(r & 0x55555555 == key & 0x55555555 for r in table.reps)
+        in_h2 = any(r & low == key & low for r in table.reps)
         assert table.contains(m) == (key in image)
         outcomes.add((key in image, in_h2))
     assert (True, True) in outcomes and (False, True) in outcomes
+
+
+@pytest.mark.parametrize("genus", [3, 4])
+def test_layer_certificate_beyond_genus_two(genus):
+    # H_2 = SL_2(F_2)^g has 6^g classes, and the layer rank is 7g - 4
+    table = congruence._closure_certificate(genus)
+    assert (len(table.reps), len(table.basis)) == (6 ** genus, 7 * genus - 4)
+    rng = random.Random(101 + genus)
+    for _ in range(30):
+        assert table.contains(eval_gen_word(random_gen_word(rng, genus, rng.randint(1, 12))))
+    if genus == 3:
+        # I mod 2, with a layer vector outside the span; the same roots at
+        # t = 4 have synthesized words, so they lie inside
+        for kind, i, j in (("X", 1, 3), ("X", 3, 1), ("Y", 1, 3), ("Z", 1, 3)):
+            root = root_matrix(RootSpec(kind, i, j, 2), 3)
+            assert not table.contains(root)
+            assert membership(root, 3).verdict == UNKNOWN
+            assert table.contains(root_matrix(RootSpec(kind, i, j, 4), 3))
 
 
 def test_certificate_invariants_survive_optimize():
@@ -648,7 +680,7 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
     assert built == {"certificate": 1, "export": 1, "scan": 1}
 
     table = quotient_closure(2)
-    fresh = layer_certificate(congruence._closure_letters(2))
+    fresh = layer_certificate(congruence._closure_letters(2), 2)
     assert (table.reps, table.basis) == (fresh.reps, fresh.basis)
     assert table.elements == closure_table.elements     # the BFS oracle's image
     # three writes in one process, each the pinned bytes, no temporary file left

@@ -183,6 +183,28 @@ def test_repeated_reciprocal_factor_leaves_the_trace_route():
         [golden, golden, cyclotomic_polynomial(5)])
 
 
+def test_no_body_prime_search_after_the_trace_search_fails(monkeypatch):
+    # q = r^2 s mod p makes the body R^2 S mod p, so a body whose q no prime
+    # keeps squarefree goes to Yun with one search, on q, and none on itself
+    golden = IntPoly((1, -3, 1))
+    polys = family_charpolys() + [golden * golden, golden * golden * cyclotomic_polynomial(5),
+                                  cyclotomic_polynomial(12) ** 3]
+    searched = spy(monkeypatch, "_squarefree_prime")
+    yun = spy(monkeypatch, "_squarefree_decomposition")
+    reached = 0
+    for p in polys:
+        body = _strip_unit_roots(p)[0]
+        searched.clear()
+        yun.clear()
+        factor_over_Z(p)
+        if yun:
+            reached += 1
+            q = _trace_polynomial(body)
+            assert yun == [body] and searched[0] == q, str(p)
+            assert q not in searched[1:] and body not in searched, str(p)
+    assert reached == 8 + 3
+
+
 def test_g6_family_chi_run_zassenhaus_on_half_degree_only(monkeypatch):
     calls = spy(monkeypatch, "_factor_squarefree_monic")
     yun = spy(monkeypatch, "_squarefree_decomposition")
