@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .certify import certify_report, density_experiment
 from .congruence import (
@@ -109,10 +111,27 @@ def _read_matrix_file(path: str, genus: int) -> SpMatrix:
         raise CliInputError(f"cannot read matrix from {path}: {exc}")
 
 
+def _check_printable(*groups: Iterable[int]) -> None:
+    """Refuse an output integer with more digits than str() converts
+    (sys.get_int_max_str_digits()), before any of them becomes text. An
+    integer of at most 3L bits has fewer than L digits (2^3L < 10^L), so
+    only a longer one is compared with 10^L."""
+    limit = sys.get_int_max_str_digits()
+    if (limit and max(map(int.bit_length, chain.from_iterable(groups))) > 3 * limit
+            and max(map(abs, chain.from_iterable(groups))) >= 10 ** limit):
+        raise CliInputError(f"an output integer has more than {limit} digits, "
+                            f"the integer string conversion limit")
+
+
+def _exponents(dec: TDecomposition) -> list[int]:
+    return [x for b in dec.blocks for x in b.p + b.q]
+
+
 def cmd_eval(args: argparse.Namespace) -> Outcome:
     word = _input(parse_word, args.word, args.genus)
     matrix = eval_word(word)
     chi = charpoly(matrix)
+    _check_printable(*matrix.m.rows, chi.coeffs)
     payload = {
         "word": format_word(word),
         "matrix": _matrix_rows(matrix),
@@ -130,6 +149,8 @@ def cmd_eval(args: argparse.Namespace) -> Outcome:
 def cmd_certify(args: argparse.Namespace) -> Outcome:
     word = _input(parse_word, args.word, args.genus)
     report = certify_report(word, strict_power_mode=args.strict)
+    _check_printable(*report.matrix.m.rows, report.charpoly.coeffs,
+                     _exponents(report.anosov) if report.anosov_certified else ())
     anosov_ok = report.anosov_certified
     payload = {
         "word": format_word(word),
@@ -169,6 +190,7 @@ def cmd_plan(args: argparse.Namespace) -> Outcome:
                 {"word": format_word(word), "accepted": False,
                  "rejection": {"position": dec.position, "reason": dec.reason}},
                 [f"not a family product: {dec}"])
+    _check_printable(_exponents(dec))
     plan = plan_from_T_word(dec)
     reassembled = monodromy_from_plan(plan)
     round_trip = eval_word(reassembled) == eval_word(word) and \

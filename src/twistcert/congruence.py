@@ -27,12 +27,9 @@ from functools import cached_property, lru_cache
 from itertools import islice
 
 from .matrices import IntMatrix, SpMatrix, symplectic_form
-from .words import CurveLetter, generator_matrix, transvection_product
+from .words import MAX_WORD_LETTERS, CurveLetter, generator_matrix, transvection_product
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
-
-# Longest generator word built; synthesized words grow linearly in the exponent
-MAX_WORD_LETTERS = 2 ** 16
 
 CACHE_ENV_VAR = "TWISTCERT_CACHE"
 _CACHE_MAGIC = b"TWCL"
@@ -644,6 +641,13 @@ class ClosureTable:
             keys += coset
         return keys
 
+    @cached_property
+    def _classes(self) -> dict[int, tuple[int, int]]:
+        """Each class h mod 2 of H_2 -> (its lift in reps, h^-1), as the BFS
+        of `_layer_certificate` holds them."""
+        low = _masks(self.genus)[0]
+        return {r & low: (r, _f2_symplectic_inverse(r & low, self.genus)) for r in self.reps}
+
     def contains(self, m: SpMatrix) -> bool:
         """m mod 2 must be the class of a rep r, and the layer vector of
         m r^-1 must sift to zero in the basis."""
@@ -651,11 +655,11 @@ class ClosureTable:
             raise ValueError("genus mismatch")
         g, low = self.genus, _masks(self.genus)[0]
         key = _mod4_key(m.m.rows)
-        h = key & low
-        rep = next((r for r in self.reps if r & low == h), None)
-        if rep is None:
+        lift = self._classes.get(key & low)
+        if lift is None:
             return False
-        x = _f2_mul(((key ^ rep) >> 1) & low, _f2_symplectic_inverse(h, g), g)
+        rep, h_inv = lift
+        x = _f2_mul(((key ^ rep) >> 1) & low, h_inv, g)
         return _sift(self.basis, x) == 0
 
     def recheck_generator_closed(self) -> bool:

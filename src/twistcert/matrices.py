@@ -49,13 +49,6 @@ class IntMatrix:
             rows[i - 1][j - 1] += c
         return IntMatrix(tuple(tuple(row) for row in rows))
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based entry access."""
-        return self.rows[i - 1][j - 1]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         return mat_mul(self, other)
 

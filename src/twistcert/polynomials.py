@@ -72,10 +72,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -102,16 +98,6 @@ class IntPoly:
                 out[i + j] += a * b
         return IntPoly._exact(tuple(out))
 
-    def __pow__(self, k: int) -> IntPoly:
-        result = IntPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -134,9 +120,6 @@ class IntPoly:
                 for j, c in enumerate(divisor.coeffs):
                     rem[i + j] -= q * c
         return IntPoly._exact(tuple(quot)), IntPoly._exact(tuple(rem[:d]))
-
-    def divisible_by(self, divisor: IntPoly) -> bool:
-        return self.monic_divmod(divisor)[1].is_zero()
 
     def derivative(self) -> IntPoly:
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))

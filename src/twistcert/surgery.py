@@ -51,19 +51,6 @@ class TorusClass:
         return self
 
 
-def bracket(x: TorusClass, y: TorusClass) -> int:
-    """Alternating pairing mu1*lam2 - lam1*mu2 on a common basis."""
-    if x.basis != y.basis:
-        raise ValueError("classes use different longitude bases; convert first")
-    return x.mu * y.lam - x.lam * y.mu
-
-
-def intersection(x: TorusClass, y: TorusClass) -> int:
-    """Oriented intersection number, oriented so Int(section, meridian) = +1
-    for dynamically oriented sections."""
-    return bracket(y, x)
-
-
 def twist_of_orbit(curve: CurveLetter) -> int:
     """Twist number of the local stable manifold of the orbit over the curve,
     with respect to the fiber containing it: 0 for a- and b-orbits, +1 for

@@ -24,8 +24,8 @@ from .matrices import IntMatrix, SpMatrix
 
 KINDS = ("a", "b", "c", "d")
 
-# Non-commuting letter pairs: (a_m, b_m), (b_n, c_n), (b_{n+1}, c_n), (c_n, d_n).
-# Twists along all other curve pairs are disjoint and commute.
+# Longest twist or generator word; synthesized words grow linearly in the exponent
+MAX_WORD_LETTERS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,6 @@ class CurveLetter:
         return f"{self.kind}{self.index}"
 
 
-def curves_commute(x: CurveLetter, y: CurveLetter) -> bool:
-    """True iff the twists along x and y commute (disjoint curves)."""
-    pair = {(x.kind, x.index), (y.kind, y.index)}
-    if len(pair) == 1:
-        return True
-    k1, k2 = sorted((x, y), key=lambda c: c.kind)
-    if (k1.kind, k2.kind) == ("a", "b"):
-        return k1.index != k2.index
-    if (k1.kind, k2.kind) == ("b", "c"):
-        return k1.index not in (k2.index, k2.index + 1)
-    if (k1.kind, k2.kind) == ("c", "d"):
-        return k1.index != k2.index
-    return True
-
-
 @dataclass(frozen=True)
 class TwistWord:
     """Sequence of (letter, nonzero exponent) pairs over a fixed genus."""
@@ -83,11 +68,6 @@ class TwistWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def concat(self, other: TwistWord) -> TwistWord:
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return TwistWord(self.genus, self.letters + other.letters)
-
 
 class WordSyntaxError(ValueError):
     """Parse failure; carries the byte offset of the offending token."""
@@ -104,12 +84,15 @@ def parse_word(text: str, genus: int) -> TwistWord:
     """Parse whitespace-separated tokens like `d1^-2 c1^-2 a1`.
 
     A token is kind letter + decimal index + optional ^ signed exponent
-    (default 1); zero exponents are dropped.
+    (default 1); zero exponents are dropped. A token past the
+    MAX_WORD_LETTERS-th is refused at its offset, before the word is built.
     """
     letters: list[tuple[CurveLetter, int]] = []
-    for match in re.finditer(r"\S+", text):
+    for number, match in enumerate(re.finditer(r"\S+", text)):
         token = match.group(0)
         offset = match.start()
+        if number == MAX_WORD_LETTERS:
+            raise WordSyntaxError(offset, f"word exceeds the bound of {MAX_WORD_LETTERS} letters")
         m = _TOKEN_RE.match(token)
         if m is None:
             raise WordSyntaxError(offset, f"malformed token {token!r}")

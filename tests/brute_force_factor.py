@@ -92,7 +92,7 @@ def _find_monic_factor(p: IntPoly, d: int) -> IntPoly | None:
         if not ok:
             continue
         candidate = IntPoly(tuple(coeffs) + (1,))
-        if p.divisible_by(candidate):
+        if p.monic_divmod(candidate)[1].is_zero():
             return candidate
     return None
 

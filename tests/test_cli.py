@@ -23,7 +23,7 @@ from twistcert.congruence import (
 )
 from twistcert.matrices import IntMatrix
 from twistcert.polynomials import ONE, IntPoly, charpoly, factor_over_Z
-from twistcert.words import format_word
+from twistcert.words import MAX_WORD_LETTERS, format_word
 
 
 def run_cli(capsys, *argv):
@@ -422,6 +422,48 @@ def test_over_long_integer_tokens_are_input_errors(capsys):
         assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 3")
         code, _, err = run_cli(capsys, subcommand, f"a{nines}", "--genus", "2")
         assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 0")
+
+
+def test_output_integers_past_the_str_limit_are_input_errors(capsys):
+    # a1^t b1^t has the entry 1 - t^2: 4400 digits at t = 10^2200, more than
+    # str() converts (4300 by default), and 4000 at t = 10^2000
+    limit = sys.get_int_max_str_digits()
+    refused = [f"error: an output integer has more than {limit} digits, "
+               f"the integer string conversion limit"]
+    huge, large = "1" + "0" * 2200, "1" + "0" * 2000
+    for subcommand in ("eval", "certify"):
+        for fmt in ("human", "json"):
+            code, out, err = run_cli(capsys, subcommand, f"a1^{huge} b1^{huge}",
+                                     "--genus", "2", "--format", fmt)
+            assert (code, out, err.splitlines()) == (2, "", refused)
+            code, out, err = run_cli(capsys, subcommand, f"a1^{large} b1^{large}",
+                                     "--genus", "2", "--format", fmt)
+            assert code in (0, 1) and out and err == ""
+    # a family exponent merged from two tokens is printed whole by plan and
+    # certify: 10^L - 1 still converts, 10^L does not
+    nines = "9" * limit
+    for subcommand in ("plan", "certify"):
+        code, out, err = run_cli(capsys, subcommand, f"d1^-2 b1^{nines}", "--genus", "2")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, subcommand, f"d1^-2 b1^{nines} b1", "--genus", "2")
+        assert (code, out, err.splitlines()) == (2, "", refused)
+    # with the limit off, every integer converts and nothing is refused
+    sys.set_int_max_str_digits(0)
+    try:
+        code, payload, err = run_json(capsys, "eval", f"a1^{huge} b1^{huge}", "--genus", "2")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert payload["matrix"][2][2] == 1 - 10 ** 4400
+
+
+def test_twist_word_letter_bound(capsys):
+    # 65536 tokens are a word; the 65537th is refused at its offset
+    longest = " ".join(["a1 a1^-1"] * (MAX_WORD_LETTERS // 2))
+    for subcommand in ("eval", "certify", "plan"):
+        code, _, err = run_cli(capsys, subcommand, longest + " b1", "--genus", "2")
+        assert (code, err.splitlines()) == (
+            2, [f"error: at offset {len(longest) + 1}: word exceeds the bound of 65536 letters"])
 
 
 def test_synthesized_word_length_is_bounded(capsys, tmp_path):

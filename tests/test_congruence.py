@@ -498,7 +498,7 @@ def test_closure_elements_symplectic_mod_4(closure_table):
             for i in range(4)
         )
         m = IntMatrix(rows)
-        assert reduce_mod(m.transpose() @ j @ m, 4) == j_mod
+        assert reduce_mod(IntMatrix(tuple(zip(*m.rows))) @ j @ m, 4) == j_mod
 
 
 def test_closure_generator_count():

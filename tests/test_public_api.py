@@ -1,12 +1,14 @@
 """The public surface: what `twistcert.__all__` promises resolves, what the
 README lists as removed is gone, the package does not import the test
-helpers, and it holds no `assert` statement (`python -O` strips them)."""
+helpers, every module-level function has a use, and the package holds no
+`assert` statement (`python -O` strips them)."""
 import ast
 import pathlib
 import re
 
 import twistcert
 import twistcert.matrices
+from test_traced_names import traced_pairs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twistcert"
@@ -56,3 +58,29 @@ def test_package_has_no_assert_statements():
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} asserts"
+
+
+def test_every_package_function_has_a_use():
+    """A module-level function in the package is referred to by package code
+    outside its own def, exported in `__all__`, or wrapped by the benchmark's
+    tracer; a helper only tests call belongs in tests/."""
+    defined = []                     # (module, function)
+    used = set()                     # names referred to outside their own def
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, ast.FunctionDef):
+                own = stmt.name
+                defined.append((path.stem, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    allowed = used | set(twistcert.__all__) | {name for _, name in traced_pairs()}
+    unused = [f"{module}.{name}" for module, name in defined if name not in allowed]
+    assert not unused, f"only tests or nothing call {unused}"

@@ -12,9 +12,7 @@ from twistcert.surgery import (
     SurgeryPlan,
     TorusClass,
     TwistOrderRejection,
-    bracket,
     dehn_fried_equivalent_twist_order,
-    intersection,
     monodromy_from_plan,
     new_meridian_class,
     plan_as_json_dict,
@@ -89,6 +87,19 @@ def test_table_rows_match_meridian_classes():
     for twist, k in ((1, 2), (-1, -2), (2, 1), (-2, -1)):
         assert new_meridian_class(twist, k) == TorusClass(1, -k, SURFACE)
         assert dehn_fried_equivalent_twist_order(twist, k) == -k
+
+
+def bracket(x: TorusClass, y: TorusClass) -> int:
+    """Alternating pairing mu1*lam2 - lam1*mu2 on a common basis."""
+    if x.basis != y.basis:
+        raise ValueError("classes use different longitude bases; convert first")
+    return x.mu * y.lam - x.lam * y.mu
+
+
+def intersection(x: TorusClass, y: TorusClass) -> int:
+    """Oriented intersection number, oriented so Int(section, meridian) = +1
+    for dynamically oriented sections."""
+    return bracket(y, x)
 
 
 def rederive_longitude_shift(twist: int) -> int:

@@ -6,13 +6,13 @@ from twistcert.congruence import GenWord, eval_gen_word, format_gen_word
 from twistcert.matrices import IntMatrix, SpMatrix, det, mat_mul, mat_pow, sp_check
 from twistcert.polynomials import charpoly, is_reciprocal
 from twistcert.words import (
+    MAX_WORD_LETTERS,
     CurveLetter,
     FamilyRejection,
     TBlock,
     TDecomposition,
     TwistWord,
     WordSyntaxError,
-    curves_commute,
     eval_word,
     format_word,
     generator_matrix,
@@ -20,6 +20,23 @@ from twistcert.words import (
     parse_word,
     validate_family_T,
 )
+
+
+# Non-commuting letter pairs: (a_m, b_m), (b_n, c_n), (b_{n+1}, c_n), (c_n, d_n).
+# Twists along all other curve pairs are disjoint and commute.
+def curves_commute(x: CurveLetter, y: CurveLetter) -> bool:
+    """True iff the twists along x and y commute (disjoint curves)."""
+    pair = {(x.kind, x.index), (y.kind, y.index)}
+    if len(pair) == 1:
+        return True
+    k1, k2 = sorted((x, y), key=lambda c: c.kind)
+    if (k1.kind, k2.kind) == ("a", "b"):
+        return k1.index != k2.index
+    if (k1.kind, k2.kind) == ("b", "c"):
+        return k1.index not in (k2.index, k2.index + 1)
+    if (k1.kind, k2.kind) == ("c", "d"):
+        return k1.index != k2.index
+    return True
 
 
 def random_word(rng, genus, length):
@@ -81,6 +98,17 @@ def test_parse_word_over_long_integers_carry_offsets():
     assert err.value.offset == 4
 
 
+def test_parse_word_letter_bound():
+    # the 65537th token is refused at its offset, zero exponents included
+    longest = " ".join(["a1 a1^-1"] * (MAX_WORD_LETTERS // 2))
+    assert len(parse_word(longest, 2)) == MAX_WORD_LETTERS
+    for extra in (" b1", " b1^0", " z9"):
+        with pytest.raises(WordSyntaxError, match="exceeds the bound of 65536 letters") as err:
+            parse_word(longest + extra, 2)
+        assert err.value.offset == len(longest) + 1
+    assert len(parse_word(longest.replace("a1^-1", "a1^0"), 2)) == MAX_WORD_LETTERS // 2
+
+
 def test_format_parse_round_trip(example_word_text):
     w = parse_word(example_word_text, 2)
     assert format_word(w) == example_word_text
@@ -106,7 +134,7 @@ def test_eval_word_is_anti_homomorphism():
         g = rng.choice((2, 3))
         u = random_word(rng, g, rng.randint(0, 6))
         v = random_word(rng, g, rng.randint(0, 6))
-        assert eval_word(u.concat(v)) == eval_word(v) @ eval_word(u)
+        assert eval_word(TwistWord(g, u.letters + v.letters)) == eval_word(v) @ eval_word(u)
 
 
 def test_eval_word_symplectic_with_reciprocal_charpoly():
