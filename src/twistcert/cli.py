@@ -38,6 +38,7 @@ from .words import (
     eval_word,
     format_word,
     parse_word,
+    token_pattern,
     validate_family_T,
 )
 
@@ -231,22 +232,16 @@ def cmd_verify_claims(args: argparse.Namespace) -> Outcome:
     return (EXIT_OK if report.all_passed else EXIT_NEGATIVE), payload, lines
 
 
+_V_SPEC_RE, _X_SPEC_RE = token_pattern("VW"), token_pattern("XYZ", 2)
+
+
 def _parse_root_spec(text: str, genus: int) -> RootSpec:
-    body, caret, exp_text = text.partition("^")
-    if not body or body[0] not in "VWXYZ" or (caret and not exp_text):
+    m = _V_SPEC_RE.fullmatch(text) or _X_SPEC_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"malformed root spec {text!r}")
-    kind = body[0]
-    index_text = body[1:]
+    kind, *indices, exp_text = m.groups()
     t = int(exp_text) if exp_text else 2 ** (genus - 1)
-    if kind in ("V", "W"):
-        if not index_text.isdigit():
-            raise ValueError(f"malformed root spec {text!r}")
-        spec = RootSpec(kind, int(index_text), t=t)
-    else:
-        parts = index_text.split(",")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ValueError(f"malformed root spec {text!r}")
-        spec = RootSpec(kind, int(parts[0]), int(parts[1]), t=t)
+    spec = RootSpec(kind, *map(int, indices), t=t)
     spec.validate(genus)
     return spec
 
@@ -274,7 +269,7 @@ VERDICT_EXIT = {IN_GAMMA: EXIT_OK, NOT_IN_GAMMA: EXIT_NEGATIVE, UNKNOWN: EXIT_UN
 
 def cmd_membership(args: argparse.Namespace) -> Outcome:
     matrix = _read_matrix_file(args.matrix_file, args.genus)
-    witness = _input(parse_gen_word, args.witness, args.genus) if args.witness else None
+    witness = None if args.witness is None else _input(parse_gen_word, args.witness, args.genus)
     table = _input(quotient_closure, 2, args.cache) if args.genus == 2 else None
     result = _input(membership, matrix, args.genus, witness, table)
     payload = {"verdict": result.verdict, "detail": result.detail}

@@ -27,7 +27,8 @@ from functools import cached_property, lru_cache
 from itertools import islice
 
 from .matrices import IntMatrix, SpMatrix, symplectic_form
-from .words import MAX_WORD_LETTERS, CurveLetter, generator_matrix, transvection_product
+from .words import (MAX_WORD_LETTERS, CurveLetter, generator_matrix, token_pattern,
+                    transvection_product)
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 
@@ -411,14 +412,17 @@ def parse_gen_word(text: str, genus: int) -> GenWord:
     return GenWord(genus, letters)
 
 
+_GEN_TOKEN_RE = token_pattern("ABC")
+
+
 def _gen_letters(text: str) -> tuple[tuple[str, int, int], ...]:
     letters = []
     for token in text.split():
-        body, _, exp_text = token.partition("^")
-        if len(body) < 2 or body[0] not in ("A", "B", "C") or not body[1:].isdigit():
+        m = _GEN_TOKEN_RE.fullmatch(token)
+        if m is None:
             raise ValueError(f"malformed generator token {token!r}")
-        exponent = int(exp_text) if exp_text else 1
-        letters.append((body[0], int(body[1:]), exponent))
+        kind, index_text, exp_text = m.groups()
+        letters.append((kind, int(index_text), int(exp_text or 1)))
     return tuple(letters)
 
 

@@ -5,6 +5,7 @@ every product, inverse and congruence test below is exact.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -15,7 +16,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n < 4 or n % 2 != 0:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,10 +46,8 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        trimmed = IntPoly._exact(tuple(map(operator.index, self.coeffs)))
+        object.__setattr__(self, "coeffs", trimmed.coeffs)
 
     @classmethod
     def _exact(cls, coeffs: tuple[int, ...]) -> IntPoly:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable
 
@@ -70,14 +70,22 @@ class TwistWord:
 
 
 class WordSyntaxError(ValueError):
-    """Parse failure; carries the byte offset of the offending token."""
+    """Parse failure; carries the character offset of the offending token."""
 
     def __init__(self, offset: int, message: str):
         super().__init__(f"at offset {offset}: {message}")
         self.offset = offset
 
 
-_TOKEN_RE = re.compile(r"^([abcd])([0-9]+)(?:\^(-?[0-9]+))?$")
+def token_pattern(kinds: str, indices: int = 1) -> re.Pattern[str]:
+    """The twist-token rule, for full matches: a letter of `kinds`, then
+    `indices` comma-separated indices and an optional ^ exponent, all in ASCII
+    digits, the exponent optionally negative. Twist words, generator words
+    and root specs follow it."""
+    return re.compile(f"([{kinds}])" + ",".join(["([0-9]+)"] * indices) + r"(?:\^(-?[0-9]+))?")
+
+
+_TOKEN_RE = token_pattern("abcd")
 
 
 def parse_word(text: str, genus: int) -> TwistWord:
@@ -93,7 +101,7 @@ def parse_word(text: str, genus: int) -> TwistWord:
         offset = match.start()
         if number == MAX_WORD_LETTERS:
             raise WordSyntaxError(offset, f"word exceeds the bound of {MAX_WORD_LETTERS} letters")
-        m = _TOKEN_RE.match(token)
+        m = _TOKEN_RE.fullmatch(token)
         if m is None:
             raise WordSyntaxError(offset, f"malformed token {token!r}")
         kind, index_text, exp_text = m.groups()
@@ -209,19 +217,9 @@ class TBlock:
 
     def letters(self) -> tuple[tuple[CurveLetter, int], ...]:
         """The block in canonical order: d-part, b-part, c-part, a-part."""
-        out: list[tuple[CurveLetter, int]] = []
-        for l in range(1, self.genus):
-            out.append((CurveLetter("d", l), -2))
-        for j, qj in enumerate(self.q, start=1):
-            if qj:
-                out.append((CurveLetter("b", j), qj))
-        for k, rk in enumerate(self.r, start=1):
-            if rk:
-                out.append((CurveLetter("c", k), rk))
-        for i, pi in enumerate(self.p, start=1):
-            if pi:
-                out.append((CurveLetter("a", i), pi))
-        return tuple(out)
+        parts = (("d", (-2,) * (self.genus - 1)), ("b", self.q), ("c", self.r), ("a", self.p))
+        return tuple((CurveLetter(kind, index), exponent) for kind, exponents in parts
+                     for index, exponent in enumerate(exponents, start=1) if exponent)
 
 
 @dataclass(frozen=True)
@@ -238,10 +236,8 @@ class TDecomposition:
             raise ValueError("block genus mismatch")
 
     def reassemble(self) -> TwistWord:
-        letters: tuple[tuple[CurveLetter, int], ...] = ()
-        for block in self.blocks:
-            letters = letters + block.letters()
-        return TwistWord(self.genus, letters)
+        return TwistWord(self.genus, tuple(chain.from_iterable(
+            map(TBlock.letters, self.blocks))))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,19 @@ import time
 import pytest
 
 from twistcert.certify import sample_t_word
-from twistcert.cli import main
+from twistcert import congruence
+from twistcert.cli import _parse_root_spec, main
 from twistcert.congruence import (
     RootSpec,
     eval_gen_word,
     parse_gen_word,
     quotient_closure,
     root_matrix,
+    synthesize_root,
     twist_gen,
+    verify_identities,
 )
-from twistcert.matrices import IntMatrix
+from twistcert.matrices import IntMatrix, SpMatrix
 from twistcert.polynomials import ONE, IntPoly, charpoly, factor_over_Z
 from twistcert.words import MAX_WORD_LETTERS, format_word
 
@@ -180,6 +183,18 @@ def test_membership_with_witness_cli(capsys, tmp_path):
     assert code == 0
     assert payload["verdict"] == "InGamma"
     assert payload["witness"] == "A1"
+
+
+def test_empty_witness_is_the_empty_word(capsys, tmp_path):
+    a1 = write_matrix(tmp_path, twist_gen("A", 1, 3), "a1.txt")
+    code, out, err = run_cli(capsys, "membership", a1, "--genus", "3", "--witness", "")
+    assert (code, out, err) == (2, "", "error: supplied witness does not evaluate to the matrix\n")
+    for g in (2, 3):
+        ident = write_matrix(tmp_path, SpMatrix.identity(g), f"ident{g}.txt")
+        code, payload, _ = run_json(capsys, "membership", ident, "--genus", str(g),
+                                    "--witness", "")
+        assert code == 0
+        assert (payload["detail"], payload["witness"]) == ("verified supplied witness", "")
 
 
 def test_witness_length_bound(capsys, tmp_path):
@@ -591,6 +606,82 @@ def test_synthesize_rejects_dangling_caret(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "synthesize", "Z1,2^-4", "--genus", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    # read as A1, A1, C1^-2, A1, V1^2, X1,2^4, V1^2 and V1^2 before tokens
+    # and specs followed the twist-token rule
+    (("a1", "--witness", "A1^"), "malformed generator token 'A1^'"),
+    (("a1", "--witness", "A1^+1"), "malformed generator token 'A1^+1'"),
+    (("c1", "--witness", "C1^-0_2"), "malformed generator token 'C1^-0_2'"),
+    (("a1", "--witness", "A\u0661"), "malformed generator token 'A\u0661'"),
+    (("synthesize", "V1^+2"), "malformed root spec 'V1^+2'"),
+    (("synthesize", "X1,2^0_4"), "malformed root spec 'X1,2^0_4'"),
+    (("synthesize", "V\u0661"), "malformed root spec 'V\u0661'"),
+    (("synthesize", "V1^ 2"), "malformed root spec 'V1^ 2'"),
+    # exit 2 before as well, with int()'s "invalid literal" message
+    (("a1", "--witness", "A1^x"), "malformed generator token 'A1^x'"),
+    (("a1", "--witness", "A1^^2"), "malformed generator token 'A1^^2'"),
+    (("synthesize", "V1^x"), "malformed root spec 'V1^x'"),
+])
+def test_tokens_outside_the_twist_token_rule_are_input_errors(capsys, tmp_path, argv, message):
+    files = {"a1": twist_gen("A", 1, 3), "c1": eval_gen_word(parse_gen_word("C1^-2", 3))}
+    if argv[0] == "synthesize":
+        argv = (*argv, "--genus", "2")
+    else:
+        argv = ("membership", write_matrix(tmp_path, files[argv[0]]), "--genus", "3", *argv[1:])
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def partition_gen_letters(text):
+    """Reference reader for generator words, by partition and isdigit."""
+    letters = []
+    for token in text.split():
+        body, _, exp_text = token.partition("^")
+        assert len(body) >= 2 and body[0] in "ABC" and body[1:].isdigit()
+        letters.append((body[0], int(body[1:]), int(exp_text) if exp_text else 1))
+    return tuple(letters)
+
+
+def partition_root_spec(text, genus):
+    """Reference reader for root specs, by partition and isdigit."""
+    body, _, exp_text = text.partition("^")
+    indices = body[1:].split(",")
+    assert body[0] in "VWXYZ" and all(i.isdigit() for i in indices)
+    return RootSpec(body[0], *map(int, indices), t=int(exp_text) if exp_text else 2 ** (genus - 1))
+
+
+def test_specs_and_generator_words_in_use_read_as_before(monkeypatch):
+    # every spec the golden corpus and the benchmark's synthesize ops pass
+    # (each root at g = 2..5, with and without ^t), the golden corpus
+    # witnesses, and every formula word that synthesis and verify-claims
+    # at g = 2..8 build
+    specs = [("V1", 2), ("X1,2", 2), ("X1,2^3", 2)]
+    for g in range(2, 6):
+        t = 2 ** (g - 1)
+        roots = [f"{k}{i}" for k in "VW" for i in range(1, g + 1)]
+        roots += [f"X{i},{j}" for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
+        roots += [f"{k}{i},{j}" for k in "YZ" for i in range(1, g + 1) for j in range(i + 1, g + 1)]
+        specs += [(text, g) for root in roots for text in (root, f"{root}^{t}", f"{root}^-{t}")]
+    for text, g in specs:
+        assert _parse_root_spec(text, g) == partition_root_spec(text, g), text
+    for text in ("A1", "B1", "A1 B2 A1 C1^2 B3^-1", "A1 A1^-1 C2^-2"):
+        assert congruence._gen_letters(text) == partition_gen_letters(text)
+    read = congruence._gen_letters
+    formulas = []
+
+    def compared(text):
+        formulas.append(text)
+        letters = read(text)
+        assert letters == partition_gen_letters(text), text
+        return letters
+
+    monkeypatch.setattr(congruence, "_gen_letters", compared)
+    for text, g in specs[3:]:
+        synthesize_root(_parse_root_spec(text, g), g)
+    for g in range(2, 9):
+        assert verify_identities(g).all_passed
+    assert formulas
 
 
 def test_repeated_main_calls_carry_no_state(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,20 @@ def test_intmatrix_validation():
         IntMatrix(tuple((0,) * 5 for _ in range(5)))  # odd dim
     with pytest.raises(ValueError):
         IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)))  # ragged
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", Fraction(1)])
+def test_intmatrix_refuses_non_integral_entries(entry):
+    # int() would truncate 1.9 and certify the identity
+    rows = ((entry, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(TypeError):
+        SpMatrix(IntMatrix(rows), 2)
+
+
+def test_intmatrix_takes_ints_and_bools():
+    m = IntMatrix(((True, 0, 0, 0), (0, 1, False, 0), (0, 0, 1, 0), (0, 0, 0, True)))
+    assert m == IntMatrix.identity(4)
+    assert all(type(x) is int for row in m.rows for x in row)
 
 
 def test_mat_mul_identity():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,19 @@ def test_intpoly_basics():
     assert str(EXAMPLE_CHI) == "x^4 + x^3 - 2*x^2 + x + 1"
     q, r = EXAMPLE_CHI.monic_divmod(IntPoly((1, 1)))
     assert q * IntPoly((1, 1)) + r == EXAMPLE_CHI
+
+
+@pytest.mark.parametrize("coeff", [2.7, 2.0, "2", Fraction(2)])
+def test_intpoly_refuses_non_integral_coefficients(coeff):
+    # int() would read 2.7 as 2
+    with pytest.raises(TypeError):
+        IntPoly((1, coeff))
+
+
+def test_intpoly_takes_ints_and_bools():
+    p = IntPoly((True, 2, False, 0))
+    assert p.coeffs == (1, 2) and all(type(c) is int for c in p.coeffs)
+    assert IntPoly((0, False)).coeffs == ()
 
 
 def test_charpoly_paper_matrix(example_matrix_rows):

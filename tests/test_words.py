@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from twistcert.certify import sample_t_block
 from twistcert.congruence import GenWord, eval_gen_word, format_gen_word
 from twistcert.matrices import IntMatrix, SpMatrix, det, mat_mul, mat_pow, sp_check
 from twistcert.polynomials import charpoly, is_reciprocal
@@ -84,6 +86,10 @@ def test_parse_word_errors_carry_offsets():
     assert err.value.offset == 3
     with pytest.raises(WordSyntaxError) as err:
         parse_word("a1 b2^x", 2)
+    assert err.value.offset == 3
+    # offsets count characters: U+3000 is one character, three bytes in UTF-8
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("a1\u3000x", 2)
     assert err.value.offset == 3
 
 
@@ -248,6 +254,39 @@ def test_validate_accepts_sampled_family_words():
         dec = validate_family_T(word)
         assert isinstance(dec, TDecomposition)
         assert eval_word(dec.reassemble()) == eval_word(word)
+
+
+def concatenated_blocks(dec: TDecomposition) -> TwistWord:
+    """Reference for TDecomposition.reassemble: each block's letters in the
+    order d, b, c, a, appended one block at a time."""
+    letters = ()
+    for block in dec.blocks:
+        letters = letters + tuple((CurveLetter("d", l), -2) for l in range(1, dec.genus))
+        for kind, exponents in (("b", block.q), ("c", block.r), ("a", block.p)):
+            letters = letters + tuple((CurveLetter(kind, i), e)
+                                      for i, e in enumerate(exponents, start=1) if e)
+    return TwistWord(dec.genus, letters)
+
+
+def test_reassemble_matches_block_by_block_concatenation():
+    rng = random.Random(19)
+    for g in range(2, 7):
+        for count in (1, 2, 50, *(rng.randint(1, 50) for _ in range(5))):
+            bound = rng.randint(0, 3)
+            dec = TDecomposition(g, tuple(sample_t_block(g, bound, rng) for _ in range(count)))
+            assert dec.reassemble() == concatenated_blocks(dec)
+
+
+def test_reassemble_is_linear_in_the_block_count():
+    # 20000 blocks took 9.4 s when each block's letters were appended to a
+    # new tuple; one pass takes about 0.15 s on one core of a 2-core x86-64
+    # container
+    rng = random.Random(20000)
+    dec = TDecomposition(2, tuple(sample_t_block(2, 2, rng) for _ in range(20000)))
+    start = time.perf_counter()
+    word = dec.reassemble()
+    assert time.perf_counter() - start < 1.0
+    assert len(word) == sum(1 + len([e for e in b.p + b.q + b.r if e]) for b in dec.blocks)
 
 
 def test_validate_accepts_unordered_b_run():
