@@ -240,8 +240,12 @@ def _parse_root_spec(text: str, genus: int) -> RootSpec:
     if m is None:
         raise ValueError(f"malformed root spec {text!r}")
     kind, *indices, exp_text = m.groups()
-    t = int(exp_text) if exp_text else 2 ** (genus - 1)
-    spec = RootSpec(kind, *map(int, indices), t=t)
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        t = int(exp_text) if exp_text else 2 ** (genus - 1)
+        indices = list(map(int, indices))
+    except ValueError:
+        raise ValueError(f"integer too long in a {len(text)}-character root spec") from None
+    spec = RootSpec(kind, *indices, t=t)
     spec.validate(genus)
     return spec
 

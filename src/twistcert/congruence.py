@@ -1,9 +1,10 @@
 """The subgroup generated by the twist matrices A_i^{+-1}, B_i^{+-1},
 C_i^{+-2}: root-subgroup matrices, machine verification of the generation
 identities, constructive word synthesis, the mod-2 block obstruction, the
-image mod 4 as a layer certificate at any genus g, over keys with entry (i, c)
-in bits 2(2g i + c), a byte per row at g = 2 (where a full generator recheck
-of its elements takes about 0.2 s), and the exact genus-2 membership and index.
+image mod 4 at any genus g as per-block lift words and the F_2 span of the
+relator layer, over keys with entry (i, c) in bits 2(2g i + c), a byte per row
+at g = 2 (where a full generator recheck of its elements takes about 0.2 s),
+and the exact genus-2 membership and index.
 
 Generator words evaluate in literal (written) product order, unlike twist
 words; every synthesized certificate is independently re-checkable by
@@ -23,8 +24,8 @@ import stat
 import struct
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache, reduce
+from itertools import islice, product
 
 from .matrices import IntMatrix, SpMatrix, symplectic_form
 from .words import (MAX_WORD_LETTERS, CurveLetter, generator_matrix, token_pattern,
@@ -35,6 +36,7 @@ ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 CACHE_ENV_VAR = "TWISTCERT_CACHE"
 _CACHE_MAGIC = b"TWCL"
 _CACHE_VERSION = 1
+_well_formed = [None]       # the last cache bytes written, or scanned and well-formed
 
 
 def sp_group_order_mod(genus: int, modulus: int) -> int:
@@ -422,7 +424,11 @@ def _gen_letters(text: str) -> tuple[tuple[str, int, int], ...]:
         if m is None:
             raise ValueError(f"malformed generator token {token!r}")
         kind, index_text, exp_text = m.groups()
-        letters.append((kind, int(index_text), int(exp_text or 1)))
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            letters.append((kind, int(index_text), int(exp_text or 1)))
+        except ValueError:
+            raise ValueError(
+                f"integer too long in a {len(token)}-character generator token") from None
     return tuple(letters)
 
 
@@ -547,18 +553,19 @@ def _mod4_key(rows: tuple[tuple[int, ...], ...]) -> int:
     2(2g i + c) and 2(2g i + c) + 1, so row i fills 4g bits, one byte at g = 2.
     The low bit of every entry is its reduction mod 2, so `key & low` is the
     key of the matrix mod 2 in the same layout, which F_2 matrices below use."""
-    n = len(rows)
-    return sum((x % 4) << (2 * (n * i + c))
-               for i, row in enumerate(rows) for c, x in enumerate(row))
+    key = 0
+    for row in reversed(rows):
+        for x in reversed(row):
+            key = key << 2 | x & 3          # x & 3 is x mod 4, for x < 0 too
+    return key
 
 
 @lru_cache(maxsize=None)
-def _masks(genus: int) -> tuple[int, int, int]:
-    """The low bit of every entry, entry (i, 0) of every row i, and the
-    identity (mod 4 and mod 2 alike), as packed keys at genus g."""
+def _masks(genus: int) -> tuple[int, int]:
+    """The low bit of every entry, and the identity (mod 4 and mod 2 alike),
+    as packed keys at genus g."""
     n = 2 * genus
-    return ((4 ** (n * n) - 1) // 3, sum(3 << 2 * n * i for i in range(n)),
-            sum(1 << 2 * (n + 1) * i for i in range(n)))
+    return (4 ** (n * n) - 1) // 3, sum(1 << 2 * (n + 1) * i for i in range(n))
 
 
 def _f2_mul(a: int, b: int, genus: int) -> int:
@@ -575,24 +582,6 @@ def _f2_mul(a: int, b: int, genus: int) -> int:
     return out
 
 
-def _f2_symplectic_inverse(h: int, genus: int) -> int:
-    """J^-1 h^T J mod 2, which is h^-1 when h is symplectic mod 2. Mod 2, J
-    swaps index t with t' = t + g mod 2g, so entry (i, c) is h[c'][i']."""
-    n = 2 * genus
-    return sum(1 << 2 * (n * i + c) for i in range(n) for c in range(n)
-               if h >> 2 * (n * ((c + genus) % n) + (i + genus) % n) & 1)
-
-
-def _times(key: int, delta: tuple[tuple[int, int, int], ...], column: int) -> int:
-    """key (I + delta) mod 4, for delta given by its nonzero entries (k, j, v):
-    column j gains v times column k of key; `column` masks column 0."""
-    out = key
-    for k, j, v in delta:
-        col = ((out >> (2 * j)) & column) + ((key >> (2 * k)) & column) * v
-        out = out & ~(column << (2 * j)) | (col & column) << (2 * j)
-    return out
-
-
 def _sift(basis: list[int] | tuple[int, ...], x: int) -> int:
     """x reduced by a basis with distinct leading bits, in decreasing order;
     0 exactly when x lies in the span."""
@@ -601,26 +590,46 @@ def _sift(basis: list[int] | tuple[int, ...], x: int) -> int:
     return x
 
 
+@lru_cache(maxsize=None)
+def _block_lifts(genus: int) -> tuple[int, int, tuple[tuple[int, dict], ...]]:
+    """The low bit of every entry, those off every block, and per block t
+    (rows and columns t and g + t) the low bits on it and a map from each of
+    its six classes mod 2, the words "", A, B, AB, BA, ABA in A_t+1, B_t+1, to
+    (the lift mod 4, the reversed word mod 2: its inverse, as A and B are
+    involutions mod 2). A, B must be the identity off the block mod 4."""
+    by_letter = dict(zip(_closure_letters(genus), closure_generators(genus)))
+    n, (low, identity) = 2 * genus, _masks(genus)
+    off_blocks, blocks = low, []
+    for t in range(genus):
+        on_block = sum(3 << 2 * (n * r + c) for r in (t, genus + t) for c in (t, genus + t))
+        gens = {kind: by_letter[kind, t + 1, 1].m for kind in "AB"}
+        keys = {w: _mod4_key(reduce(operator.matmul, map(gens.get, w)).rows) if w else identity
+                for w in ("", "A", "B", "AB", "BA", "ABA")}
+        mask = on_block & low
+        lifts = {key & mask: (key & on_block, keys[w[::-1]] & mask) for w, key in keys.items()}
+        if len(lifts) != 6 or (keys["A"] ^ identity | keys["B"] ^ identity) & ~on_block:
+            raise ArithmeticError(f"A{t + 1} and B{t + 1} do not give SL_2(F_2) on their block")
+        off_blocks ^= mask
+        blocks.append((mask, lifts))
+    return low, off_blocks, tuple(blocks)
+
+
 @dataclass(frozen=True)
 class ClosureTable:
-    """The image of the subgroup in Sp(2g, Z/4) as a layer certificate.
-
-    The image is an extension of H_2, its reduction mod 2, by N, its part in
-    Gamma(2)/Gamma(4). `reps` holds one mod-4 lift per element of H_2, as
-    packed keys: entry (i, c) in bits 2(2g i + c), so at g = 2 row i is byte
-    i. `basis` is an F_2 basis of the layer vectors X of N, whose elements
-    are I + 2X mod 4, with X in the mod-2 key layout. `recheck_generator_closed`
-    multiplies every element by every generator, about 0.2 s at g = 2.
-    """
+    """The image of the subgroup in Sp(2g, Z/4) as a layer certificate: an
+    extension of H_2 = SL_2(F_2)^g, its reduction mod 2, lifted block by block
+    (`_block_lifts`), by N, its part in Gamma(2)/Gamma(4). `basis` is an F_2
+    basis of the layer vectors X of N, whose elements are I + 2X mod 4, with
+    entry (i, c) of X in bit 2(2g i + c). `elements`, the cache export and
+    `recheck_generator_closed` (about 0.2 s) enumerate every key: genus 2 only."""
 
     genus: int
     modulus: int
-    reps: tuple[int, ...]
     basis: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.reps) * 2 ** len(self.basis)
+        return 6 ** self.genus * 2 ** len(self.basis)
 
     @cached_property
     def elements(self) -> frozenset[int]:
@@ -635,9 +644,12 @@ class ClosureTable:
     def _keys(self) -> list[int]:
         """Every packed key of the image, coset by coset: (I + 2X) r for the
         lift r of h is r + 2 X h, which is r XOR (X h moved to the high bits)."""
-        low = _masks(self.genus)[0]
+        if self.genus != 2:
+            raise ValueError("enumerating the image is implemented for genus 2 only")
+        low, _, blocks = _block_lifts(self.genus)
         keys = []
-        for rep in self.reps:
+        for parts in product(*(lifts.values() for _, lifts in blocks)):
+            rep = sum(lift for lift, _ in parts)
             coset = [rep]
             for x in self.basis:
                 step = _f2_mul(x, rep & low, self.genus) << 1
@@ -645,26 +657,23 @@ class ClosureTable:
             keys += coset
         return keys
 
-    @cached_property
-    def _classes(self) -> dict[int, tuple[int, int]]:
-        """Each class h mod 2 of H_2 -> (its lift in reps, h^-1), as the BFS
-        of `_layer_certificate` holds them."""
-        low = _masks(self.genus)[0]
-        return {r & low: (r, _f2_symplectic_inverse(r & low, self.genus)) for r in self.reps}
-
     def contains(self, m: SpMatrix) -> bool:
-        """m mod 2 must be the class of a rep r, and the layer vector of
-        m r^-1 must sift to zero in the basis."""
+        """Each block of m mod 2 must be a class of SL_2(F_2), with m mod 2
+        zero off the blocks, and the layer vector of m r^-1, for the lift r of
+        that class, must sift to zero in the basis."""
         if m.genus != self.genus:
             raise ValueError("genus mismatch")
-        g, low = self.genus, _masks(self.genus)[0]
+        low, off_blocks, blocks = _block_lifts(self.genus)
         key = _mod4_key(m.m.rows)
-        lift = self._classes.get(key & low)
-        if lift is None:
+        h = key & low
+        if h & off_blocks:
             return False
-        rep, h_inv = lift
-        x = _f2_mul(((key ^ rep) >> 1) & low, h_inv, g)
-        return _sift(self.basis, x) == 0
+        rep = h_inv = 0
+        for mask, lifts in blocks:
+            if (lift := lifts.get(h & mask)) is None:
+                return False
+            rep, h_inv = rep + lift[0], h_inv + lift[1]
+        return _sift(self.basis, _f2_mul(((key ^ rep) >> 1) & low, h_inv, self.genus)) == 0
 
     def recheck_generator_closed(self) -> bool:
         """Full pass: every element times every generator stays inside. Row i
@@ -684,54 +693,43 @@ class ClosureTable:
         return True
 
 
-def _layer_certificate(letters: list[tuple[str, int, int]], genus: int) -> ClosureTable:
-    """The image mod 4 of the group generated by the closure generators of
-    the given letters at genus g.
+@lru_cache(maxsize=None)
+def _closure_certificate(genus: int) -> ClosureTable:
+    """The image mod 4 at genus g, built once per process and genus.
 
-    A BFS over H_2 keeps the first mod-4 product r reaching each class mod
-    2. Every other product p = r s lands on the class h of an earlier rep r',
-    and the Schreier element p r'^-1 = I + 2X lies in N, with X = D h^-1 mod 2
-    for D = (p - r') / 2. By Schreier's lemma these elements generate N, so
-    the X span its layer, and |image| = |H_2| 2^rank. The layer sp(2g, F_2)
-    has dimension g(2g + 1): the sifting stops at that rank, the BFS goes on.
-    """
+    H_2 = S_3^g has the relators R: a_i^2, b_i^2, (a_i b_i)^3, [x_i, y_j]. C_i^2
+    is I mod 2, so the image modulo the normal closure of R and the C_i^2 is
+    H_2, and N is that closure. Letters on different blocks commute over Z, so
+    the [x_i, y_j] add nothing. N is abelian, as [Gamma(2), Gamma(2)] lies in
+    Gamma(4), so conjugation acts on it through H_2, where A_i, B_i are
+    involutions. So the layer of N is the F_2 span of the layer vectors of
+    A_i^2, B_i^2, (A_i B_i)^3, C_i^2, closed under X -> h X h for h = A_i, B_i
+    mod 2. It stops at rank g(2g + 1), the dimension of sp(2g, F_2)."""
+    _block_lifts(genus)                 # ArithmeticError unless H_2 is SL_2(F_2)^g
+    low, identity = _masks(genus)
     by_letter = dict(zip(_closure_letters(genus), closure_generators(genus)))
-    deltas = [tuple((k, j, x % 4) for k, row in _delta(by_letter[letter]).items()
-                    for j, x in row.items() if x % 4)
-              for letter in letters]
-    low, column, identity = _masks(genus)
-    reps = [identity]
-    classes = {identity: (identity, identity)}                  # h -> (rep, h^-1)
+    relators = [(f"C{i}^2", by_letter["C", i, 2].m) for i in range(1, genus)]
+    conjugators = []
+    for i in range(1, genus + 1):
+        a, b = by_letter["A", i, 1].m, by_letter["B", i, 1].m
+        ab = a @ b
+        relators += [(f"A{i}^2", a @ a), (f"B{i}^2", b @ b), (f"(A{i}B{i})^3", ab @ ab @ ab)]
+        conjugators += [_mod4_key(h.rows) & low for h in (a, b)]
+    keys = {name: _mod4_key(m.rows) for name, m in relators}
+    if bad := [name for name, key in keys.items() if key & low != identity]:
+        raise ArithmeticError(f"relator {bad[0]} is not I mod 2")
+    pending = [key >> 1 & low for key in keys.values()]
     basis: list[int] = []
-    for rep in reps:                                            # grows as it runs
-        for delta in deltas:
-            p = _times(rep, delta, column)
-            h = p & low
-            if h not in classes:
-                h_inv = _f2_symplectic_inverse(h, genus)
-                # p r'^-1 = I mod 2 for every Schreier element with this r'
-                if _f2_mul(h, h_inv, genus) != identity:
-                    raise ArithmeticError("a closure generator is not symplectic mod 2, "
-                                          "so a Schreier element is not I mod 2")
-                classes[h] = (p, h_inv)
-                reps.append(p)
-            elif len(basis) < genus * (2 * genus + 1):
-                lift, h_inv = classes[h]
-                x = _sift(basis, _f2_mul(((p ^ lift) >> 1) & low, h_inv, genus))
-                if x:
-                    basis.append(x)
-                    basis.sort(reverse=True)
-    table = ClosureTable(genus, 4, tuple(reps), tuple(basis))
+    while pending and len(basis) < genus * (2 * genus + 1):
+        x = _sift(basis, pending.pop())
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+            pending += [_f2_mul(_f2_mul(h, x, genus), h, genus) for h in conjugators]
+    table = ClosureTable(genus, 4, tuple(basis))
     if sp_group_order_mod(genus, 4) % table.size:
         raise ArithmeticError(f"image size {table.size} does not divide |Sp({2 * genus}, Z/4)|")
     return table
-
-
-@lru_cache(maxsize=None)
-def _closure_certificate(genus: int) -> ClosureTable:
-    """The certificate of all the closure letters, built once per process and
-    genus and shared: it depends on constants only, and the table is frozen."""
-    return _layer_certificate(_closure_letters(genus), genus)
 
 
 def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
@@ -766,7 +764,8 @@ def _cache_well_formed(path: str, table: ClosureTable) -> bool:
     """The exact header with count = table.size, exactly that many keys after
     it, each larger than the one before. A missing file is not well-formed; a
     path that is there but is not a regular file (a directory, a device, a
-    FIFO) raises OSError before anything opens or replaces it."""
+    FIFO) raises OSError before anything opens or replaces it. Bytes equal to
+    the ones this process last wrote or accepted are not scanned again."""
     header = _cache_header(table)
     size = len(header) + 4 * table.size
     try:
@@ -779,14 +778,16 @@ def _cache_well_formed(path: str, table: ClosureTable) -> bool:
         return False
     if data[:len(header)] != header or len(data) != size:
         return False
-    return _keys_increase(data[len(header):])
+    if data != _well_formed[0]:
+        if not _keys_increase(data[len(header):]):
+            return False
+        _well_formed[0] = data
+    return True
 
 
-@lru_cache(maxsize=1)
 def _keys_increase(body: bytes) -> bool:
-    """Whether the little-endian u32 keys of body increase strictly. The
-    verdict is a function of the bytes alone, so it is memoized on them:
-    rereading an unchanged file skips the scan, a changed one is scanned."""
+    """Whether the little-endian u32 keys of body increase strictly. It is
+    not memoized: the caller skips it on bytes it has already accepted."""
     keys = struct.unpack(f"<{len(body) // 4}I", body)
     return all(map(operator.lt, keys, islice(keys, 1, None)))
 
@@ -801,6 +802,7 @@ def _store_closure_cache(path: str, table: ClosureTable) -> None:
         with open(tmp, "wb") as fh:
             fh.write(table._export_bytes)
         os.replace(tmp, path)
+        _well_formed[0] = table._export_bytes
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

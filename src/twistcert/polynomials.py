@@ -440,28 +440,32 @@ def _hensel_lift(f: IntPoly, mod_factors: list[list[int]], p: int, bound: int) -
     target = p
     while target <= bound:
         target *= target
-
-    def lift(f_mod: list[int], parts: list[list[int]]) -> list[list[int]]:
-        if len(parts) == 1:
-            return [f_mod]
-        half = len(parts) // 2
-        g = [1]
-        for fac in parts[:half]:
-            g = _gf_mul(g, fac, p)
-        h = [1]
-        for fac in parts[half:]:
-            h = _gf_mul(h, fac, p)
-        s, t, one = _gf_gcdex(g, h, p)
-        if one != [1]:
-            raise ArithmeticError("lift factors are not coprime mod p")
-        m = p
-        while m < target:
-            g, h, s, t = _hensel_step(m, f_mod, g, h, s, t, m * m >= target)
-            m *= m
-        return lift(g, parts[:half]) + lift(h, parts[half:])
-
-    leaves = lift([c % target for c in f.coeffs], mod_factors)
+    leaves = _lift_tree([c % target for c in f.coeffs], mod_factors, p, target)
     return [IntPoly._exact(tuple(_sym(c, target) for c in leaf)) for leaf in leaves], target
+
+
+def _lift_tree(f_mod: list[int], parts: list[list[int]], p: int, target: int) -> list[list[int]]:
+    """One node of the factor tree of `_hensel_lift`: lift f_mod = g h, for g
+    and h the products of the two halves of parts, from p to target, then
+    lift each half. A module-level function, so no closure cell keeps a
+    reference cycle alive after each factorization."""
+    if len(parts) == 1:
+        return [f_mod]
+    half = len(parts) // 2
+    g = [1]
+    for fac in parts[:half]:
+        g = _gf_mul(g, fac, p)
+    h = [1]
+    for fac in parts[half:]:
+        h = _gf_mul(h, fac, p)
+    s, t, one = _gf_gcdex(g, h, p)
+    if one != [1]:
+        raise ArithmeticError("lift factors are not coprime mod p")
+    m = p
+    while m < target:
+        g, h, s, t = _hensel_step(m, f_mod, g, h, s, t, m * m >= target)
+        m *= m
+    return _lift_tree(g, parts[:half], p, target) + _lift_tree(h, parts[half:], p, target)
 
 
 def _mignotte_bound(f: IntPoly) -> int:

@@ -430,13 +430,23 @@ def test_genus_cap_covers_every_subcommand(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_over_long_integer_tokens_are_input_errors(capsys):
+def test_over_long_integer_tokens_are_input_errors(capsys, tmp_path):
     nines = "9" * 5000
     for subcommand in ("eval", "certify", "plan"):
         code, _, err = run_cli(capsys, subcommand, f"a1 a1^{nines}", "--genus", "2")
         assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 3")
         code, _, err = run_cli(capsys, subcommand, f"a{nines}", "--genus", "2")
         assert (code, err.splitlines()[0][:18]) == (2, "error: at offset 0")
+    # generator tokens and root specs name the token, not int()'s own line
+    ones = "1" * 5000
+    identity = write_matrix(tmp_path, SpMatrix.identity(3))
+    for argv, message in (
+        (("synthesize", f"V1^{nines}", "--genus", "2"), "a 5003-character root spec"),
+        (("synthesize", f"X1,{ones}", "--genus", "2"), "a 5003-character root spec"),
+        (("membership", identity, "--genus", "3", "--witness", f"A{ones}"),
+         "a 5001-character generator token"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: integer too long in {message}\n")
 
 
 def test_output_integers_past_the_str_limit_are_input_errors(capsys):

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import time
 from array import array
 from collections import Counter, deque
 from functools import cached_property, lru_cache
@@ -38,6 +39,7 @@ from twistcert.congruence import (
     twist_gen,
     verify_identities,
 )
+from layer_oracle import bfs_certificate
 from mod_oracle import mod2_block_test_interleaved, reduce_mod
 from test_cli import write_matrix
 from test_sparse_paths import unchecked
@@ -332,10 +334,8 @@ def test_contains_refuses_another_genus(closure_table):
 
 def test_closure_generator_closed(closure_table):
     assert closure_table.recheck_generator_closed()
-    # one layer vector or one lift short, the set is not closed
-    reps, basis = closure_table.reps, closure_table.basis
-    assert not ClosureTable(2, 4, reps, basis[:-1]).recheck_generator_closed()
-    assert not ClosureTable(2, 4, reps[:-1], basis).recheck_generator_closed()
+    # one layer vector short, the set is not closed
+    assert not ClosureTable(2, 4, closure_table.basis[:-1]).recheck_generator_closed()
 
 
 def test_closure_matches_pure_python_bfs(closure_table):
@@ -377,13 +377,13 @@ def _bfs_image(gens):
 ])
 def test_layer_certificate_matches_bfs_on_letter_subsets(genus, dropped, size):
     letters = [l for l in congruence._closure_letters(genus) if l[0] not in dropped]
-    table = congruence._layer_certificate(letters, genus)
+    table = bfs_certificate(letters, genus)
     by_letter = dict(zip(congruence._closure_letters(genus), closure_generators(genus)))
     image = _bfs_image([reduce_mod(by_letter[l].m, 4) for l in letters])
     assert table.size == len(image) == size
-    assert table.elements == image
+    assert table.keys() == image
     assert len(table.basis) < genus * (2 * genus + 1)
-    assert not table.recheck_generator_closed()     # a dropped letter leaves the image
+    assert size < congruence._closure_certificate(genus).size   # a dropped letter leaves the image
     # contains agrees with the BFS set on words over all the letters; C_i^2
     # is I mod 2, so words with it reach classes in H_2 whose layer vector
     # the sift must reject
@@ -403,7 +403,7 @@ def test_layer_certificate_matches_bfs_on_letter_subsets(genus, dropped, size):
 def test_layer_certificate_beyond_genus_two(genus):
     # H_2 = SL_2(F_2)^g has 6^g classes, and the layer rank is 7g - 4
     table = congruence._closure_certificate(genus)
-    assert (len(table.reps), len(table.basis)) == (6 ** genus, 7 * genus - 4)
+    assert (table.size, len(table.basis)) == (6 ** genus * 2 ** (7 * genus - 4), 7 * genus - 4)
     rng = random.Random(101 + genus)
     for _ in range(30):
         assert table.contains(eval_gen_word(random_gen_word(rng, genus, rng.randint(1, 12))))
@@ -417,26 +417,88 @@ def test_layer_certificate_beyond_genus_two(genus):
             assert table.contains(root_matrix(RootSpec(kind, i, j, 4), 3))
 
 
+@lru_cache(maxsize=None)
+def _oracle(genus):
+    return bfs_certificate(congruence._closure_letters(genus), genus)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_relator_layer_matches_the_bfs_oracle(genus):
+    table, oracle = congruence._closure_certificate(genus), _oracle(genus)
+    # the same span: the same rank, and every oracle vector sifts to zero
+    assert len(table.basis) == len(oracle.basis) == 7 * genus - 4
+    assert all(congruence._sift(table.basis, x) == 0 for x in oracle.basis)
+    assert table.size == oracle.size
+    # seeded words, alone and times a root element at t = 2 (I mod 2) or
+    # times C_i (outside H_2)
+    rng = random.Random(300 + genus)
+    mats = []
+    for _ in range(40):
+        m = eval_gen_word(random_gen_word(rng, genus, rng.randint(1, 12)))
+        kind = rng.choice("XYZ")
+        i, j = sorted(rng.sample(range(1, genus + 1), 2))
+        if kind == "X" and rng.random() < 0.5:
+            i, j = j, i
+        mats += [m, m @ root_matrix(RootSpec(kind, i, j, 2), genus),
+                 m @ twist_gen("C", rng.randint(1, genus - 1), genus)]
+    if genus == 3:
+        mats += [root_matrix(RootSpec(kind, i, j, t), 3)
+                 for kind, i, j in (("X", 1, 3), ("X", 3, 1), ("Y", 1, 3), ("Z", 1, 3))
+                 for t in (2, 4)]
+    verdicts = [table.contains(m) for m in mats]
+    assert verdicts == [oracle.contains(m) for m in mats]
+    assert all(verdicts[:120:3])                 # the seeded words themselves
+    # at genus 2 the image is the whole preimage of H_2 (index 720 / 36 = 20);
+    # above it, some products with a root element leave the layer span
+    outcomes = set(zip(verdicts, map(mod2_block_test, mats)))
+    assert ((False, True) in outcomes) == (genus > 2)
+    assert (False, False) in outcomes
+
+
+def test_certificate_builds_to_genus_eight_with_rank_7g_minus_4():
+    start = time.perf_counter()
+    for genus in range(2, 9):
+        table = congruence._closure_certificate.__wrapped__(genus)
+        assert len(table.basis) == 7 * genus - 4
+        assert table.size == 6 ** genus * 2 ** (7 * genus - 4)
+    # about 0.03 s in all on one x86-64 core; the Schreier BFS over the 6^g
+    # classes took 31 s at genus 6 alone
+    assert time.perf_counter() - start < 5
+
+
+def test_enumeration_refuses_genus_three():
+    # a genus-3 key has 72 bits and there are 6^3 2^17 of them
+    table = congruence._closure_certificate(3)
+    for read in (lambda: table.elements, lambda: table._export_bytes,
+                 table.recheck_generator_closed):
+        with pytest.raises(ValueError, match="genus 2 only"):
+            read()
+    assert table.contains(SpMatrix.identity(3))
+    assert table.size == 6 ** 3 * 2 ** 17
+
+
 def test_certificate_invariants_survive_optimize():
-    # a generator that is not symplectic mod 2 gives a rep with no mod-2
-    # inverse, so some Schreier element is not I mod 2; and an image size not
-    # dividing the group order is refused. Both are explicit raises.
+    # A_1 not the identity off its block, so H_2 is not SL_2(F_2)^2 block by
+    # block; C_1^2 not I mod 2, so it is no relator; and an image size not
+    # dividing the group order. All three are explicit raises.
     script = textwrap.dedent("""
         import types
         import twistcert.congruence as c
         from twistcert.matrices import IntMatrix
         closure_generators = c.closure_generators
-        gens = list(closure_generators(2))
         corrupt = IntMatrix.from_unit_entries(4, {(1, 2): 1})  # I + E_12, not symplectic
-        gens[0] = types.SimpleNamespace(m=corrupt, genus=2)
-        c.closure_generators = lambda genus=2: tuple(gens)
-        try:
-            c.quotient_closure(2)
-        except ArithmeticError as exc:
-            if "not I mod 2" not in str(exc):
-                raise SystemExit(f"raised by another check: {exc}")
-        else:
-            raise SystemExit("corrupted generator accepted")
+        for index, matrix, message in ((0, corrupt, "on their block"),
+                                       (8, closure_generators(2)[0].m, "C1^2 is not I mod 2")):
+            gens = list(closure_generators(2))
+            gens[index] = types.SimpleNamespace(m=matrix, genus=2)
+            c.closure_generators = lambda genus=2: tuple(gens)
+            try:
+                c.quotient_closure(2)
+            except ArithmeticError as exc:
+                if message not in str(exc):
+                    raise SystemExit(f"raised by another check: {exc}")
+            else:
+                raise SystemExit(f"corrupted generator {index} accepted")
         c.closure_generators = closure_generators
         c.sp_group_order_mod = lambda genus, modulus: 737280 * 3 + 1
         try:
@@ -539,9 +601,11 @@ def _cache_bytes(keys, count=None):
 
 @pytest.mark.parametrize("case", [
     "only_key_zero", "missing_identity", "repeated_key", "size_not_dividing",
-    "short_data", "trailing_data", "huge_count",
+    "short_data", "trailing_data", "huge_count", "empty",
 ])
-def test_closure_cache_rejects_inconsistent_file(tmp_path, closure_table, case):
+def test_closure_cache_rejects_inconsistent_file(tmp_path, monkeypatch, closure_table, case):
+    # as in a process that has neither written nor accepted a cache file yet
+    monkeypatch.setattr(congruence, "_well_formed", [None])
     ident = reduce_mod(IntMatrix.identity(4), 4).packed_word()
     keys = sorted(closure_table.elements)
     others = [k for k in keys if k != ident]
@@ -553,12 +617,26 @@ def test_closure_cache_rejects_inconsistent_file(tmp_path, closure_table, case):
         "short_data": _cache_bytes(keys)[:-4],
         "trailing_data": _cache_bytes(keys) + b"\0\0\0\0",
         "huge_count": _cache_bytes([ident], count=2 ** 32 - 1),
+        "empty": b"",
     }[case]
     path = tmp_path / "closure.bin"
     path.write_bytes(raw)
     table = quotient_closure(2, str(path))
     assert table.elements == closure_table.elements
     # the rebuild rewrote the file
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PARENT_CACHE_SHA256
+
+
+def test_empty_cache_file_is_rewritten_in_a_fresh_process(tmp_path):
+    # the first cache check of a process compares against nothing it wrote
+    path = tmp_path / "closure.bin"
+    path.write_bytes(b"")
+    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    script = "import sys\nfrom twistcert.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    result = subprocess.run([sys.executable, "-c", script, "index", "--cache", str(path)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PARENT_CACHE_SHA256
 
 
@@ -651,15 +729,14 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
             return fn(*args)
         return spy
 
-    layer_certificate = congruence._layer_certificate
-    monkeypatch.setattr(congruence, "_layer_certificate",
-                        counting("certificate", layer_certificate))
+    build = congruence._closure_certificate.__wrapped__
+    monkeypatch.setattr(congruence, "_closure_certificate",
+                        lru_cache(maxsize=None)(counting("certificate", build)))
     export = cached_property(counting("export", ClosureTable._export_bytes.func))
     export.__set_name__(ClosureTable, "_export_bytes")
     monkeypatch.setattr(ClosureTable, "_export_bytes", export)
-    monkeypatch.setattr(congruence, "_keys_increase", lru_cache(maxsize=1)(
-        counting("scan", congruence._keys_increase.__wrapped__)))
-    congruence._closure_certificate.cache_clear()
+    monkeypatch.setattr(congruence, "_keys_increase",
+                        counting("scan", congruence._keys_increase))
 
     c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
     v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
@@ -677,11 +754,12 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
         (["index", "--cache", existing], 0),
     ]
     assert [_quiet_main(capsys, *argv) for argv, _ in ops] == [code for _, code in ops]
-    assert built == {"certificate": 1, "export": 1, "scan": 1}
+    # every file read here is one this process wrote: it equals the export
+    # bytes, so none is scanned
+    assert built == {"certificate": 1, "export": 1}
 
     table = quotient_closure(2)
-    fresh = layer_certificate(congruence._closure_letters(2), 2)
-    assert (table.reps, table.basis) == (fresh.reps, fresh.basis)
+    assert table.basis == build(2).basis
     assert table.elements == closure_table.elements     # the BFS oracle's image
     # three writes in one process, each the pinned bytes, no temporary file left
     assert [_sha256(p) for p in (existing, new_a, new_b)] == [PARENT_CACHE_SHA256] * 3

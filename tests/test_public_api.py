@@ -12,7 +12,8 @@ from test_traced_names import traced_pairs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twistcert"
-TEST_HELPERS = {"mod_oracle", "dense_oracles", "brute_force_factor", "family_oracle"}
+TEST_HELPERS = {"mod_oracle", "dense_oracles", "brute_force_factor", "family_oracle",
+                "layer_oracle", "hensel_oracle"}
 
 
 def removed_names():

@@ -3,6 +3,7 @@ lift and the cached cyclotomic orders against independent references: the
 generic Zassenhaus route on the same body, the brute-force search up to
 degree 8, products built from known irreducible pieces, the earlier IntPoly
 Hensel kernel and the plain phi scan."""
+import gc
 import math
 import random
 
@@ -270,3 +271,17 @@ def test_cyclotomic_index_matches_the_phi_scan():
             others.append(phi_n + IntPoly((1,)))
         for f in others:
             assert cyclotomic_index(f) is phi_scan_index(f) is None, str(f)
+
+
+def test_factoring_leaves_no_reference_cycle():
+    # the factor-tree lift is a module-level function, not a closure over
+    # itself, so factoring leaves nothing for the cyclic collector
+    chi = IntPoly((1, -3, 1)) * IntPoly((1, -4, 1)) * IntPoly((1, 1, 0, -1, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        factors = factor_over_Z(chi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(factors) == 3
