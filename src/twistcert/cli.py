@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import chain
 from typing import Iterable
@@ -86,13 +87,16 @@ def _input(fn, *args):
         raise CliInputError(str(exc)) from exc
 
 
+_MATRIX_LINE = re.compile(r"\s*(?:-?[0-9]+(?:\s+-?[0-9]+)*\s*)?")
+
+
 def _read_matrix_file(path: str, genus: int) -> SpMatrix:
-    """The non-blank lines of the file as rows of integers. Reading stops at
-    a line longer than a legal row (2g signed entries of at most the digits
-    int() converts, each with a separator; when that limit is off, the
-    interpreter's default of 4300 digits still bounds the line) and at a
-    non-blank row past the 2g-th, so no file is read further than a 2g x 2g
-    matrix needs."""
+    """The non-blank lines of the file as rows of integers, each entry
+    -?[0-9]+. Reading stops at a line longer than a legal row (2g signed
+    entries of at most the digits int() converts, each with a separator;
+    when that limit is off, the interpreter's default of 4300 digits still
+    bounds the line) and at a non-blank row past the 2g-th, so no file is
+    read further than a 2g x 2g matrix needs."""
     n = 2 * genus
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     max_line = n * (digits + 2) + 1
@@ -103,6 +107,8 @@ def _read_matrix_file(path: str, genus: int) -> SpMatrix:
             for number, line in enumerate(lines, start=1):
                 if len(line) > max_line:
                     raise ValueError(f"line {number} is longer than {max_line} characters")
+                if not _MATRIX_LINE.fullmatch(line):
+                    raise ValueError(f"line {number}: an entry is not -?[0-9]+")
                 if line.strip():
                     if len(rows) == n:
                         raise ValueError(f"line {number} is a row past the {n}th")

@@ -7,23 +7,23 @@ half the steps and mirrors the coefficients, since chi is reciprocal.
 Factorization divides out the powers of x, x - 1 and x + 1. A palindromic
 rest, as every characteristic polynomial of a symplectic matrix leaves, has
 even degree 2d and equals x^d q(x + 1/x) for a trace polynomial q of degree
-d. When a prime keeps q squarefree, q is factored, and each irreducible r of
-degree e maps back to x^e r(x + 1/x): irreducible, or f f* for f* the
-reversal of f. That factor is kept whole unless |r(2)| and |r(-2)| are both
-squares, as f f* forces; then it is factored on its own.
+d, and only q is factored. Each irreducible r of q, of degree e, maps back
+with its multiplicity to x^e r(x + 1/x): irreducible, or f f* for f* the
+reversal of f, which is factored again only if |r(2)| and |r(-2)| are both
+squares, as f f* forces.
 
-Any other rest takes the generic route: it tries the odd primes in
-ZASSENHAUS_PRIMES for one modulo which the rest is squarefree. Finding one
-proves the rest squarefree over Z, and the fast path factors it mod p,
-Hensel-lifts to the Mignotte bound on coefficient lists reduced mod m**2 and
-recombines subsets (Zassenhaus). Finding none means a repeated factor, or,
-far less likely, that every listed prime divides the discriminant: Yun's
-squarefree decomposition runs first, with its gcds as primitive remainder
-sequences over Z, and each part takes the same route. The test suite
-cross-checks the trace route against the generic one, both against an
-independent brute-force search up to degree 8, Euclid over Q and built
-products with repeated factors, and the Hensel lift against the earlier
-IntPoly kernel.
+q, such an f f* and a rest that is not palindromic take the generic route: a
+prime in ZASSENHAUS_PRIMES modulo which the polynomial is squarefree proves
+it squarefree over Z, and the fast path factors it mod p, Hensel-lifts to
+the Mignotte bound on coefficient lists reduced mod m**2 and recombines
+subsets (Zassenhaus). Finding no prime means a repeated factor, or, far less
+likely, that every listed prime divides the discriminant: Yun's squarefree
+decomposition runs first, with its gcds as primitive remainder sequences
+over Z, and each part is searched alike. So Yun never sees a palindromic
+rest, only its q at half the degree. The test suite cross-checks the trace
+route against the generic one, both against an independent brute-force
+search up to degree 8, Euclid over Q and built products with repeated
+factors, and the Hensel lift against the earlier IntPoly kernel.
 """
 from __future__ import annotations
 
@@ -498,8 +498,6 @@ def _squarefree_prime(f: IntPoly) -> int | None:
 
 def _factor_squarefree_monic(f: IntPoly, p: int, rng: random.Random) -> list[IntPoly]:
     """Zassenhaus factorization of a monic f, deg >= 1, squarefree mod p."""
-    if f.degree == 1:
-        return [f]
     mod_factors = _gf_factor_squarefree(_gf_from_poly(f, p), p, rng)
     mod_factors.sort(key=lambda g: (len(g), g))
     if len(mod_factors) == 1:
@@ -540,16 +538,13 @@ def _squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm for monic f: list of (monic squarefree part, multiplicity)."""
     out: list[tuple[IntPoly, int]] = []
     g = _primitive_gcd(f, f.derivative())
-    w = f.monic_divmod(g)[0]
-    mult = 1
+    w, mult = f.monic_divmod(g)[0], 1
     while w.degree > 0:
         y = _primitive_gcd(w, g)
         part = w.monic_divmod(y)[0]
         if part.degree > 0:
             out.append((part, mult))
-        w = y
-        g = g.monic_divmod(y)[0]
-        mult += 1
+        w, g, mult = y, g.monic_divmod(y)[0], mult + 1
     return out
 
 
@@ -631,36 +626,41 @@ def _is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
 
 
-def _factor_through_trace(body: IntPoly, rng: random.Random) -> list[IntPoly] | None:
-    """Irreducible factors of a palindromic body with no root 0, 1 or -1
-    (so of even degree 2d), read off its trace polynomial q; None when no
-    prime in ZASSENHAUS_PRIMES keeps q squarefree.
+def _factor_through_trace(body: IntPoly, rng: random.Random) -> list[IntPoly]:
+    """Irreducible factors, with multiplicity, of a palindromic body with no
+    root 0, 1 or -1, so of even degree 2d, read off its trace polynomial q.
 
-    Each irreducible r of q gives R = x^e r(x + 1/x), irreducible or f f*
-    with f* the reversal of f up to sign. R = f f* makes |r(2)| = |R(1)| =
-    f(1)^2 and |r(-2)| = |R(-1)| = f(-1)^2, so R is kept whole unless both
-    are squares; if they are, R takes the Zassenhaus route of its own degree.
+    Exact: if q = prod r_i^(m_i) over Z with deg r_i = e_i, then body =
+    x^d q(x + 1/x) = prod (x^(e_i) r_i(x + 1/x))^(m_i), as the e_i m_i add
+    up to d; no r_i is y -+ 2, since x -+ 1 do not divide body. Each R =
+    x^e r(x + 1/x) is irreducible or f f*, f* the reversal of f up to sign,
+    and R = f f* makes |r(+-2)| = |R(+-1)| = f(+-1)^2: R is kept whole unless
+    both are squares, and else takes the generic route of its own degree.
     """
-    q = _trace_polynomial(body)
-    prime = _squarefree_prime(q)
-    if prime is None:
-        return None
     factors = []
-    for r in _factor_squarefree_monic(q, prime, rng):
+    for r in _factor_generic(_trace_polynomial(body), rng):
         big = _from_trace(r)
         if _is_square(abs(r.evaluate(2))) and _is_square(abs(r.evaluate(-2))):
-            factors += _factor_squarefree(big, rng)
+            factors += _factor_generic(big, rng)
         else:
             factors.append(big)
     return factors
 
 
-def _factor_squarefree(f: IntPoly, rng: random.Random) -> list[IntPoly]:
-    """Zassenhaus factorization of a monic f that is squarefree over Z."""
+def _factor_generic(f: IntPoly, rng: random.Random) -> list[IntPoly]:
+    """Irreducible factors, with multiplicity, of a monic f of degree >= 1:
+    Zassenhaus on f when a prime keeps it squarefree, else on each part of
+    Yun's squarefree decomposition, repeated by its multiplicity."""
     prime = _squarefree_prime(f)
-    if prime is None:
-        raise ArithmeticError("no prime in ZASSENHAUS_PRIMES keeps a squarefree factor squarefree")
-    return _factor_squarefree_monic(f, prime, rng)
+    if prime is not None:
+        return _factor_squarefree_monic(f, prime, rng)
+    factors = []
+    for part, mult in _squarefree_decomposition(f):
+        prime = _squarefree_prime(part)
+        if prime is None:
+            raise ArithmeticError("no prime in ZASSENHAUS_PRIMES keeps a squarefree factor squarefree")
+        factors += _factor_squarefree_monic(part, prime, rng) * mult
+    return factors
 
 
 def canonical_factor_order(factors: list[IntPoly]) -> tuple[IntPoly, ...]:
@@ -682,17 +682,9 @@ def factor_over_Z(p: IntPoly) -> tuple[IntPoly, ...]:
         return ()
     rng = random.Random(0x5EED ^ p.degree)
     body, factors = _strip_unit_roots(p)
-    reciprocal = body.degree > 0 and is_reciprocal(body)
-    traced = _factor_through_trace(body, rng) if reciprocal else None
-    # q = r^2 s mod p makes body = R^2 S mod p: no body prime if q has none
-    prime = None if reciprocal or body.degree == 0 else _squarefree_prime(body)
-    if traced is not None:
-        factors += traced
-    elif prime is not None:  # body is squarefree over Z: Yun is skipped
-        factors += _factor_squarefree_monic(body, prime, rng)
-    elif body.degree > 0:
-        for part, mult in _squarefree_decomposition(body):
-            factors += _factor_squarefree(part, rng) * mult
+    if body.degree > 0:
+        route = _factor_through_trace if is_reciprocal(body) else _factor_generic
+        factors += route(body, rng)
     if math.prod(factors, start=ONE) != p:
         raise ArithmeticError("factor product does not reproduce the polynomial")
     return canonical_factor_order(factors)

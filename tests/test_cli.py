@@ -523,6 +523,28 @@ def test_matrix_file_reading_stops_at_the_limits(capsys, tmp_path):
     assert code == 2 and "matrix is not symplectic" in err, err
 
 
+def test_matrix_file_entries_are_ascii_integers(capsys, tmp_path):
+    # int() alone would read 1_0 as 10, +1 as 1 and the Arabic-Indic digit
+    # one as 1; each entry must be -?[0-9]+
+    path = tmp_path / "m.txt"
+    rest = "0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+    for first in ("1_0 0 0 0\n", "+1 0 0 0\n", "\u0661 0 0 0\n"):
+        path.write_text(first + rest, encoding="utf-8")
+        assert run_cli(capsys, "membership", str(path), "--genus", "2") == (
+            2, "", f"error: cannot read matrix from {path}: line 1: an entry is not -?[0-9]+\n")
+    path.write_text("1 0 0 0\n\n0 1 0 0\n0 0 1 0\n0 0 0 \uff11\n", encoding="utf-8")
+    assert run_cli(capsys, "membership", str(path), "--genus", "2")[2].endswith(
+        ": line 5: an entry is not -?[0-9]+\n")
+    # tabs, form feeds and CRLF line ends separate as spaces do, and -0 is zero
+    path.write_text(" 1\t-0 0 0\r\n0 1 0 0\f\n\v\n0 0 1 0\n0 0 0 1", encoding="utf-8")
+    assert run_cli(capsys, "membership", str(path), "--genus", "2")[0] == 0
+    # an entry past int()'s digit limit is still refused by int() itself
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    path.write_text("1" * (digits + 1) + " 0 0 0\n" + rest)
+    code, out, err = run_cli(capsys, "membership", str(path), "--genus", "2")
+    assert (code, out, err.count("\n")) == (2, "", 1) and "Exceeds the limit" in err, err
+
+
 def test_long_matrix_file_is_refused_in_bounded_memory(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_bytes(b"1 0 0 0\n" * 4_000_000)                  # 32 MB

@@ -6,12 +6,14 @@ Hensel kernel and the plain phi scan."""
 import gc
 import math
 import random
+import time
 
 import twistcert.polynomials as polynomials
+from twistcert.certify import sample_t_word
 from twistcert.polynomials import (
     ONE,
     IntPoly,
-    _factor_squarefree,
+    _factor_generic,
     _factor_through_trace,
     _from_trace,
     _gf_factor_squarefree,
@@ -23,12 +25,14 @@ from twistcert.polynomials import (
     _strip_unit_roots,
     _trace_polynomial,
     canonical_factor_order,
+    charpoly,
     cyclotomic_index,
     cyclotomic_polynomial,
     euler_phi,
     factor_over_Z,
     is_reciprocal,
 )
+from twistcert.words import eval_word
 
 from brute_force_factor import factor_over_Z_bruteforce
 from hensel_oracle import hensel_lift
@@ -38,13 +42,11 @@ X4_MINUS_11X2_PLUS_1 = IntPoly((1, 0, -11, 0, 1))   # (x^2 + 3x - 1)(x^2 - 3x - 
 
 
 def generic_route(body: IntPoly) -> tuple[IntPoly, ...]:
-    return canonical_factor_order(_factor_squarefree(body, random.Random(0)))
+    return canonical_factor_order(_factor_generic(body, random.Random(0)))
 
 
 def trace_route(body: IntPoly) -> tuple[IntPoly, ...]:
-    factors = _factor_through_trace(body, random.Random(0))
-    assert factors is not None, str(body)
-    return canonical_factor_order(factors)
+    return canonical_factor_order(_factor_through_trace(body, random.Random(0)))
 
 
 def squarefree_bodies(polys):
@@ -111,7 +113,7 @@ def test_trace_route_matches_generic_route_on_family_chi():
 
 
 def test_split_pairs_take_the_fallback(monkeypatch):
-    calls = spy(monkeypatch, "_factor_squarefree")
+    calls = spy(monkeypatch, "_factor_generic")
     rng = random.Random(1213)
     cases = [(X4_MINUS_11X2_PLUS_1, [IntPoly((-1, -3, 1)), IntPoly((-1, 3, 1))])]
     while len(cases) < 40:
@@ -123,13 +125,14 @@ def test_split_pairs_take_the_fallback(monkeypatch):
         calls.clear()
         expected = canonical_factor_order(pieces)
         assert factor_over_Z(p) == expected, str(p)
-        assert calls == [p], str(p)  # the whole f f* went to Zassenhaus
+        # q went to the generic route, then the whole f f*
+        assert calls == [_trace_polynomial(p), p], str(p)
         assert trace_route(p) == generic_route(p) == factor_over_Z_bruteforce(p)
     # Phi_12 = x^4 - x^2 + 1 passes the square test (q = y^2 - 3 is -1 at
-    # y = +-2) but is irreducible: the fallback returns it whole
+    # y = +-2) but is irreducible: the generic route returns it whole
     calls.clear()
     assert factor_over_Z(cyclotomic_polynomial(12)) == (cyclotomic_polynomial(12),)
-    assert calls == [cyclotomic_polynomial(12)]
+    assert calls == [IntPoly((-3, 0, 1)), cyclotomic_polynomial(12)]
 
 
 def reciprocal_pieces(rng):
@@ -175,19 +178,20 @@ def test_reciprocal_products_with_cyclotomic_and_unit_root_factors(monkeypatch):
             assert trace_route(body) == generic_route(body), str(p)
 
 
-def test_repeated_reciprocal_factor_leaves_the_trace_route():
+def test_repeated_reciprocal_factor_stays_on_the_trace_route():
+    # q = r^2 s gives body = R^2 S: no prime keeps q squarefree, and the
+    # trace route maps each factor of q back with its multiplicity
     golden = IntPoly((1, -3, 1))
     phi12 = cyclotomic_polynomial(12)
-    for body in (golden * golden, golden * golden * cyclotomic_polynomial(5),
-                 phi12 * phi12 * phi12):
-        assert _factor_through_trace(body, random.Random(0)) is None, str(body)
-    assert factor_over_Z(golden * golden * cyclotomic_polynomial(5)) == canonical_factor_order(
-        [golden, golden, cyclotomic_polynomial(5)])
+    for pieces in ([golden] * 2, [golden] * 2 + [cyclotomic_polynomial(5)], [phi12] * 3):
+        body = math.prod(pieces, start=ONE)
+        assert _squarefree_prime(_trace_polynomial(body)) is None, str(body)
+        assert trace_route(body) == factor_over_Z(body) == canonical_factor_order(pieces)
 
 
 def test_no_body_prime_search_after_the_trace_search_fails(monkeypatch):
     # q = r^2 s mod p makes the body R^2 S mod p, so a body whose q no prime
-    # keeps squarefree goes to Yun with one search, on q, and none on itself
+    # keeps squarefree goes to Yun as q, and is itself never searched
     golden = IntPoly((1, -3, 1))
     phi12 = cyclotomic_polynomial(12)
     polys = family_charpolys() + [golden * golden, golden * golden * cyclotomic_polynomial(5),
@@ -203,7 +207,7 @@ def test_no_body_prime_search_after_the_trace_search_fails(monkeypatch):
         if yun:
             reached += 1
             q = _trace_polynomial(body)
-            assert yun == [body] and searched[0] == q, str(p)
+            assert yun == [q] and searched[0] == q, str(p)
             assert q not in searched[1:] and body not in searched, str(p)
     assert reached == 8 + 3
 
@@ -211,17 +215,38 @@ def test_no_body_prime_search_after_the_trace_search_fails(monkeypatch):
 def test_g6_family_chi_run_zassenhaus_on_half_degree_only(monkeypatch):
     calls = spy(monkeypatch, "_factor_squarefree_monic")
     yun = spy(monkeypatch, "_squarefree_decomposition")
-    top = 0
+    top, reached = 0, 0
     for chi in family_charpolys():
         if chi.degree != 12:
             continue
         calls.clear()
         yun.clear()
         factor_over_Z(chi)
-        if not yun:
-            assert calls and max(f.degree for f in calls) <= 6, str(chi)
-            top = max(top, max(f.degree for f in calls))
+        assert calls and max(f.degree for f in calls + yun) <= 6, str(chi)
+        top = max(top, max(f.degree for f in calls))
+        reached += bool(yun)
     assert top == 6
+    assert reached > 0  # some degree-12 chi has a repeated factor
+
+
+def test_repeated_factors_at_the_genus_cap_run_yun_on_q(monkeypatch):
+    # seeded 3-block family chi at g = 28..30 times a squared reciprocal
+    # piece, degree 60..64: Yun runs once, on q of degree <= 32, so all six
+    # factor within a wall bound that the body-degree Yun route exceeds
+    yun = spy(monkeypatch, "_squarefree_decomposition")
+    rng = random.Random(2830)
+    elapsed = 0.0
+    for g in (28, 29, 30):
+        chi = charpoly(eval_word(sample_t_word(g, 3, 3, rng)))
+        expected = list(factor_over_Z(chi))
+        for piece in (IntPoly((1, 7, 1)), IntPoly((1, -3, 1))):
+            yun.clear()
+            start = time.perf_counter()
+            factors = factor_over_Z(chi * piece * piece)
+            elapsed += time.perf_counter() - start
+            assert factors == canonical_factor_order(expected + [piece, piece]), g
+            assert len(yun) == 1 and yun[0].degree <= 32, g
+    assert elapsed < 3.0
 
 
 def lift_inputs():
