@@ -134,13 +134,13 @@ def sample_t_block(genus: int, exponent_bound: int, rng: random.Random) -> TBloc
     p = tuple(rng.randint(-exponent_bound, exponent_bound) for _ in range(genus))
     q = tuple(rng.randint(-exponent_bound, exponent_bound) for _ in range(genus))
     r = tuple(rng.choice((0, -2)) for _ in range(genus - 1))
-    return TBlock(genus, p, q, r)
+    return TBlock(p, q, r)
 
 
 def sample_t_word(genus: int, block_count: int, exponent_bound: int,
                   rng: random.Random) -> TwistWord:
     blocks = tuple(sample_t_block(genus, exponent_bound, rng) for _ in range(block_count))
-    return TDecomposition(genus, blocks).reassemble()
+    return TDecomposition(blocks).reassemble()
 
 
 @dataclass(frozen=True)

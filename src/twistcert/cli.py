@@ -92,11 +92,11 @@ _MATRIX_LINE = re.compile(r"\s*(?:-?[0-9]+(?:\s+-?[0-9]+)*\s*)?")
 
 def _read_matrix_file(path: str, genus: int) -> SpMatrix:
     """The non-blank lines of the file as rows of integers, each entry
-    -?[0-9]+. Reading stops at a line longer than a legal row (2g signed
-    entries of at most the digits int() converts, each with a separator;
-    when that limit is off, the interpreter's default of 4300 digits still
-    bounds the line) and at a non-blank row past the 2g-th, so no file is
-    read further than a 2g x 2g matrix needs."""
+    -?[0-9]+, forming a 2g x 2g matrix. Reading stops at a line longer than
+    a legal row (2g signed entries of at most the digits int() converts, each
+    with a separator; when that limit is off, the interpreter's default of
+    4300 digits still bounds the line) and at a non-blank row past the 2g-th,
+    so no file is read further than a 2g x 2g matrix needs."""
     n = 2 * genus
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     max_line = n * (digits + 2) + 1
@@ -112,8 +112,16 @@ def _read_matrix_file(path: str, genus: int) -> SpMatrix:
                 if line.strip():
                     if len(rows) == n:
                         raise ValueError(f"line {number} is a row past the {n}th")
-                    rows.append(tuple(int(tok) for tok in line.split()))
-        return SpMatrix(IntMatrix(tuple(rows)), genus)
+                    entries = line.split()
+                    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+                        rows.append(tuple(map(int, entries)))
+                    except ValueError:
+                        raise ValueError(f"line {number}: integer too long in a "
+                                         f"{max(map(len, entries))}-character entry") from None
+        matrix = IntMatrix(tuple(rows))
+        if matrix.dim != n:
+            raise ValueError(f"dimension {matrix.dim} does not match genus {genus}")
+        return SpMatrix(matrix)
     except (OSError, ValueError) as exc:
         raise CliInputError(f"cannot read matrix from {path}: {exc}")
 
@@ -280,8 +288,9 @@ VERDICT_EXIT = {IN_GAMMA: EXIT_OK, NOT_IN_GAMMA: EXIT_NEGATIVE, UNKNOWN: EXIT_UN
 def cmd_membership(args: argparse.Namespace) -> Outcome:
     matrix = _read_matrix_file(args.matrix_file, args.genus)
     witness = None if args.witness is None else _input(parse_gen_word, args.witness, args.genus)
-    table = _input(quotient_closure, 2, args.cache) if args.genus == 2 else None
-    result = _input(membership, matrix, args.genus, witness, table)
+    if args.genus == 2:
+        _input(quotient_closure, args.cache)  # a cache error exits 2 before any verdict
+    result = _input(membership, matrix, witness)
     payload = {"verdict": result.verdict, "detail": result.detail}
     lines = [f"verdict: {result.verdict} ({result.detail})"]
     if result.witness is not None:
@@ -293,8 +302,8 @@ def cmd_membership(args: argparse.Namespace) -> Outcome:
 def cmd_index(args: argparse.Namespace) -> Outcome:
     if args.genus != 2:
         raise CliInputError("the exact index computation runs at genus 2")
-    table = _input(quotient_closure, 2, args.cache)
-    index = gamma_index(2, table)
+    table = _input(quotient_closure, args.cache)
+    index = gamma_index()
     payload = {"modulus": table.modulus, "image_size": table.size, "index": index}
     lines = [
         f"quotient image size mod {table.modulus}: {table.size}",

@@ -3,8 +3,7 @@ C_i^{+-2}: root-subgroup matrices, machine verification of the generation
 identities, constructive word synthesis, the mod-2 block obstruction, the
 image mod 4 at any genus g as per-block lift words and the F_2 span of the
 relator layer, over keys with entry (i, c) in bits 2(2g i + c), a byte per row
-at g = 2 (where a full generator recheck of its elements takes about 0.2 s),
-and the exact genus-2 membership and index.
+at g = 2, and the exact genus-2 membership and index.
 
 Generator words evaluate in literal (written) product order, unlike twist
 words; every synthesized certificate is independently re-checkable by
@@ -109,7 +108,7 @@ def _root_entries(spec: RootSpec, genus: int) -> dict[tuple[int, int], int]:
 
 def root_matrix(spec: RootSpec, genus: int) -> SpMatrix:
     """The displayed one-parameter subgroup matrix at exponent t."""
-    return SpMatrix(IntMatrix.from_unit_entries(2 * genus, _root_entries(spec, genus)), genus)
+    return SpMatrix(IntMatrix.from_unit_entries(2 * genus, _root_entries(spec, genus)))
 
 
 def rotation_matrix(i: int, genus: int) -> SpMatrix:
@@ -287,7 +286,7 @@ def verify_identities(genus: int) -> IdentityReport:
             check(f"z_step[k={k},l={ell}]", lhs, root("Z", k - ell, k, 2 ** ell))
 
     theta = _delta(eval_gen_word(_theta_word(g)))
-    form = _delta(SpMatrix(symplectic_form(g), g))
+    form = _delta(SpMatrix(symplectic_form(g)))
     check("rotations_give_form_matrix", theta, form)
     by_form = theta == form  # then conjugation by theta permutes entries
     theta_inv = inv(theta)
@@ -520,13 +519,11 @@ def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
 # Mod-2 block obstruction
 # ---------------------------------------------------------------------------
 
-def mod2_block_test(m: SpMatrix, genus: int | None = None) -> bool:
+def mod2_block_test(m: SpMatrix) -> bool:
     """Necessary condition for membership: the mod-2 reduction, reindexed into
     the interleaved basis (a_1, b_1, a_2, b_2, ...), is 2x2 block diagonal:
     t and g + t share a block, so every odd entry (r, c) has r = c mod g."""
-    g = genus if genus is not None else m.genus
-    if g != m.genus:
-        raise ValueError("genus mismatch")
+    g = m.genus
     return all((r - c) % g == 0
                for r, row in enumerate(m.m.rows) for c, x in enumerate(row) if x % 2)
 
@@ -620,20 +617,16 @@ class ClosureTable:
     extension of H_2 = SL_2(F_2)^g, its reduction mod 2, lifted block by block
     (`_block_lifts`), by N, its part in Gamma(2)/Gamma(4). `basis` is an F_2
     basis of the layer vectors X of N, whose elements are I + 2X mod 4, with
-    entry (i, c) of X in bit 2(2g i + c). `elements`, the cache export and
-    `recheck_generator_closed` (about 0.2 s) enumerate every key: genus 2 only."""
+    entry (i, c) of X in bit 2(2g i + c). The cache export enumerates every
+    key: genus 2 only."""
 
     genus: int
-    modulus: int
     basis: tuple[int, ...]
+    modulus = 4
 
     @property
     def size(self) -> int:
         return 6 ** self.genus * 2 ** len(self.basis)
-
-    @cached_property
-    def elements(self) -> frozenset[int]:
-        return frozenset(self._keys())
 
     @cached_property
     def _export_bytes(self) -> bytes:
@@ -675,23 +668,6 @@ class ClosureTable:
             rep, h_inv = rep + lift[0], h_inv + lift[1]
         return _sift(self.basis, _f2_mul(((key ^ rep) >> 1) & low, h_inv, self.genus)) == 0
 
-    def recheck_generator_closed(self) -> bool:
-        """Full pass: every element times every generator stays inside. Row i
-        of key G is row i of key times G; each distinct row is multiplied once."""
-        n = 2 * self.genus
-        shifts, mask = range(0, 2 * n * n, 2 * n), (1 << 2 * n) - 1
-        rows = [[key >> s & mask for key in self.elements] for s in shifts]
-        entries = {row: [row >> 2 * c & 3 for c in range(n)] for row in set().union(*rows)}
-        for gen in closure_generators(self.genus):
-            times = {row: sum(sum(map(operator.mul, e, col)) % 4 << 2 * j
-                              for j, col in enumerate(zip(*gen.m.rows)))
-                     for row, e in entries.items()}
-            products = (map({row: p << s for row, p in times.items()}.__getitem__, column)
-                        for s, column in zip(shifts, rows))
-            if not self.elements.issuperset(map(sum, zip(*products))):
-                return False
-        return True
-
 
 @lru_cache(maxsize=None)
 def _closure_certificate(genus: int) -> ClosureTable:
@@ -726,13 +702,13 @@ def _closure_certificate(genus: int) -> ClosureTable:
             basis.append(x)
             basis.sort(reverse=True)
             pending += [_f2_mul(_f2_mul(h, x, genus), h, genus) for h in conjugators]
-    table = ClosureTable(genus, 4, tuple(basis))
+    table = ClosureTable(genus, tuple(basis))
     if sp_group_order_mod(genus, 4) % table.size:
         raise ArithmeticError(f"image size {table.size} does not divide |Sp({2 * genus}, Z/4)|")
     return table
 
 
-def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTable:
+def quotient_closure(cache_path: str | None = None) -> ClosureTable:
     """The image of the subgroup in Sp(4, Z/4) (genus 2, modulus 4), as a
     layer certificate built once per process from closure_generators(2).
 
@@ -740,9 +716,8 @@ def quotient_closure(genus: int = 2, cache_path: str | None = None) -> ClosureTa
     image is exported to: a versioned header, then the sorted packed keys. The
     file is read on every call, and written when missing or not well-formed;
     no key read from it is used. OSError says which path could not be used.
+    This is the one function that touches the cache file.
     """
-    if genus != 2:
-        raise ValueError("exact closure mode is implemented for genus 2 only")
     table = _closure_certificate(2)
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV_VAR)
@@ -844,19 +819,16 @@ def _match_root_pattern(m: SpMatrix) -> RootSpec | None:
         return None
 
 
-def membership(m: SpMatrix, genus: int | None = None,
-               witness: GenWord | None = None,
-               table: ClosureTable | None = None) -> MembershipVerdict:
-    """Decide membership in the generated subgroup.
+def membership(m: SpMatrix, witness: GenWord | None = None) -> MembershipVerdict:
+    """Decide membership in the generated subgroup, at the genus of m.
 
-    Genus 2 is exact via the finite-quotient closure. For genus >= 3 the
-    verdict is NotInGamma on a mod-2 block obstruction, InGamma when a witness
-    word is supplied or synthesized (identity, single generators, root
-    elements with exponent a multiple of 2^(g-1)), Unknown otherwise.
+    Genus 2 is exact via the layer certificate of the image mod 4; the cache
+    file is not read or written. For genus >= 3 the verdict is NotInGamma on a
+    mod-2 block obstruction, InGamma when a witness word is supplied or
+    synthesized (identity, single generators, root elements with exponent a
+    multiple of 2^(g-1)), Unknown otherwise.
     """
-    g = genus if genus is not None else m.genus
-    if g != m.genus:
-        raise ValueError("genus mismatch")
+    g = m.genus
     if witness is not None:
         if witness.genus != g:
             raise ValueError("witness genus mismatch")
@@ -864,12 +836,10 @@ def membership(m: SpMatrix, genus: int | None = None,
             return MembershipVerdict(IN_GAMMA, witness, "verified supplied witness")
         raise ValueError("supplied witness does not evaluate to the matrix")
     if g == 2:
-        if table is None:
-            table = quotient_closure(2)
-        if table.contains(m):
+        if _closure_certificate(2).contains(m):
             return MembershipVerdict(IN_GAMMA, None, "reduction lies in the quotient image")
         return MembershipVerdict(NOT_IN_GAMMA, None, "reduction outside the quotient image")
-    if not mod2_block_test(m, g):
+    if not mod2_block_test(m):
         return MembershipVerdict(NOT_IN_GAMMA, None, "mod-2 block obstruction")
     if m.m.is_identity():
         return MembershipVerdict(IN_GAMMA, GenWord(g, ()), "identity")
@@ -886,13 +856,11 @@ def membership(m: SpMatrix, genus: int | None = None,
     return MembershipVerdict(UNKNOWN, None, "no obstruction found and no witness available")
 
 
-def gamma_index(genus: int = 2, table: ClosureTable | None = None) -> int:
+def gamma_index() -> int:
     """[Sp(4,Z) : subgroup] = |Sp(4, Z/4)| / |image|, exact because the
-    subgroup contains the level-4 principal congruence subgroup."""
-    if genus != 2:
-        raise ValueError("index computation is implemented for genus 2 only")
-    if table is None:
-        table = quotient_closure(2)
+    subgroup contains the level-4 principal congruence subgroup. The cache
+    file is not read or written."""
+    table = _closure_certificate(2)
     total = sp_group_order_mod(2, 4)
     if total % table.size != 0:
         raise ArithmeticError("closure size does not divide the group order")

@@ -100,19 +100,16 @@ def symplectic_form(genus: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(row) for row in rows))
 
 
-def sp_check(m: IntMatrix, genus: int | None = None) -> bool:
-    """True iff M^T J M = J exactly.
+def sp_check(m: IntMatrix) -> bool:
+    """True iff M^T J M = J exactly, J the form of genus dim/2.
 
     (M^T J M)[a][b] = sum_i M[i][a] M[g+i][b] - M[g+i][a] M[i][b] is the form
     on columns a and b. It is antisymmetric for every M, so only a < b is
     accumulated, over pairs of nonzero entries of rows i and g+i, and J is
     subtracted before the zero test; no product is formed.
     """
-    if genus is None:
-        genus = m.dim // 2
     n = m.dim
-    if n != 2 * genus:
-        return False
+    genus = n // 2
     acc = [0] * (n * n)  # acc[a * n + b] for a < b
     for i in range(genus):
         top = [(a, x) for a, x in enumerate(m.rows[i]) if x]
@@ -152,36 +149,36 @@ def det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SpMatrix:
-    """Integer matrix certified symplectic (M^T J M = J) at construction."""
+    """Integer matrix certified symplectic (M^T J M = J) at construction; its
+    genus is half its dimension."""
 
     m: IntMatrix
-    genus: int
 
     def __post_init__(self) -> None:
-        if self.m.dim != 2 * self.genus:
-            raise ValueError(f"dimension {self.m.dim} does not match genus {self.genus}")
-        if not sp_check(self.m, self.genus):
+        if not sp_check(self.m):
             raise ValueError("matrix is not symplectic: M^T J M != J")
 
     @staticmethod
     def identity(genus: int) -> SpMatrix:
-        return SpMatrix(IntMatrix.identity(2 * genus), genus)
+        return SpMatrix(IntMatrix.identity(2 * genus))
 
     @property
     def dim(self) -> int:
         return self.m.dim
 
+    @property
+    def genus(self) -> int:
+        return self.m.dim // 2
+
     @classmethod
-    def _closed(cls, m: IntMatrix, genus: int) -> SpMatrix:
+    def _closed(cls, m: IntMatrix) -> SpMatrix:
         # Sp(2g, Z) is closed under @, inverse and pow: their results skip the check
         sp = object.__new__(cls)
-        sp.__dict__.update(m=m, genus=genus)
+        sp.__dict__["m"] = m
         return sp
 
     def __matmul__(self, other: SpMatrix) -> SpMatrix:
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return SpMatrix._closed(self.m @ other.m, self.genus)
+        return SpMatrix._closed(self.m @ other.m)
 
     def inverse(self) -> SpMatrix:
         """Exact symplectic inverse via M^{-1} = -J M^T J."""
@@ -191,8 +188,8 @@ class SpMatrix:
         t = tuple(zip(*self.m.rows))  # rows (A^T | C^T), then (B^T | D^T)
         rows = [r[g:] + tuple(-x for x in r[:g]) for r in t[g:]]
         rows += [tuple(-x for x in r[g:]) + r[:g] for r in t[:g]]
-        return SpMatrix._closed(IntMatrix._exact(tuple(rows)), g)
+        return SpMatrix._closed(IntMatrix._exact(tuple(rows)))
 
     def pow(self, k: int) -> SpMatrix:
         base = self if k >= 0 else self.inverse()
-        return SpMatrix._closed(mat_pow(base.m, abs(k)), self.genus)
+        return SpMatrix._closed(mat_pow(base.m, abs(k)))

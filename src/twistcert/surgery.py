@@ -97,13 +97,12 @@ def new_meridian_class(twist: int, index_k: int) -> TorusClass:
 
 @dataclass(frozen=True)
 class OrbitSpec:
-    """A periodic orbit sitting in a fiber: curve, symbolic fiber level
-    (block index, phase tag) and its twist number."""
+    """A periodic orbit sitting in a fiber: curve and symbolic fiber level
+    (block index, phase tag). Its twist number is that of its curve."""
 
     curve: CurveLetter
     block: int
     phase: str
-    twist: int
 
     def __post_init__(self) -> None:
         if self.curve.kind == "d":
@@ -112,6 +111,10 @@ class OrbitSpec:
             raise ValueError(f"unknown phase {self.phase!r}")
         if self.block < 1:
             raise ValueError("block index must be >= 1")
+
+    @property
+    def twist(self) -> int:
+        return twist_of_orbit(self.curve)
 
 
 @dataclass(frozen=True)
@@ -133,16 +136,13 @@ class SurgeryOp:
 
 @dataclass(frozen=True)
 class SurgeryPlan:
-    """Surgeries grouped by block against a base of block_count copies of the
-    trivial-on-homology d-twist product."""
+    """Surgeries grouped by block, one group per copy of the
+    trivial-on-homology d-twist product in the base."""
 
     genus: int
-    block_count: int
     ops: tuple[tuple[SurgeryOp, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.ops) != self.block_count:
-            raise ValueError("ops must be grouped into block_count groups")
         for s, group in enumerate(self.ops, start=1):
             seen: set[tuple[str, str, int]] = set()
             for op in group:
@@ -154,6 +154,10 @@ class SurgeryPlan:
                 if key in seen:
                     raise ValueError(f"duplicate orbit {op.orbit.curve} in block {s}")
                 seen.add(key)
+
+    @property
+    def block_count(self) -> int:
+        return len(self.ops)
 
     def op_count(self) -> int:
         return sum(len(group) for group in self.ops)
@@ -171,13 +175,12 @@ def plan_from_T_word(dec: TDecomposition) -> SurgeryPlan:
                                        ("b", PHASE_3PI2, block.q)):
             for index, e in enumerate(exponents, start=1):
                 if e:
-                    curve = CurveLetter(kind, index)
-                    twist = twist_of_orbit(curve)
+                    orbit = OrbitSpec(CurveLetter(kind, index), s, phase)
+                    twist = orbit.twist
                     k = e if twist == 0 else -e     # order l = e: k = l, or -l if twisted
-                    group.append(SurgeryOp(OrbitSpec(curve, s, phase, twist), k,
-                                           dehn_fried_equivalent_twist_order(twist, k)))
+                    group.append(SurgeryOp(orbit, k, dehn_fried_equivalent_twist_order(twist, k)))
         groups.append(tuple(group))
-    return SurgeryPlan(dec.genus, len(dec.blocks), tuple(groups))
+    return SurgeryPlan(dec.genus, tuple(groups))
 
 
 def monodromy_from_plan(plan: SurgeryPlan) -> TwistWord:
@@ -189,8 +192,8 @@ def monodromy_from_plan(plan: SurgeryPlan) -> TwistWord:
         orders = {"a": [0] * g, "b": [0] * g, "c": [0] * (g - 1)}
         for op in group:
             orders[op.orbit.curve.kind][op.orbit.curve.index - 1] = op.order_l
-        blocks.append(TBlock(g, tuple(orders["a"]), tuple(orders["b"]), tuple(orders["c"])))
-    return TDecomposition(g, tuple(blocks)).reassemble()
+        blocks.append(TBlock(tuple(orders["a"]), tuple(orders["b"]), tuple(orders["c"])))
+    return TDecomposition(tuple(blocks)).reassemble()
 
 
 def plan_as_json_dict(plan: SurgeryPlan) -> dict:

@@ -179,7 +179,7 @@ def transvection_product(genus: int, letters: Iterable[tuple[CurveLetter, int]])
         for j, c in w:
             s = e * c
             cols[j] = [x + s * y for x, y in zip(cols[j], mu)]
-    return SpMatrix(IntMatrix._exact(tuple(zip(*cols))), genus)
+    return SpMatrix(IntMatrix._exact(tuple(zip(*cols))))
 
 
 @lru_cache(maxsize=None)
@@ -201,19 +201,22 @@ def eval_word(word: TwistWord) -> SpMatrix:
 @dataclass(frozen=True)
 class TBlock:
     """Exponent data of one block: p for a-letters, q for b-letters, r for
-    c-letters (each entry 0 or -2); the d-part is implicit, every d_l at -2."""
+    c-letters (each entry 0 or -2); the d-part is implicit, every d_l at -2.
+    The genus is len(p)."""
 
-    genus: int
     p: tuple[int, ...]
     q: tuple[int, ...]
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        g = self.genus
-        if len(self.p) != g or len(self.q) != g or len(self.r) != g - 1:
+        if len(self.q) != len(self.p) or len(self.r) != len(self.p) - 1:
             raise ValueError("exponent vector lengths must be (g, g, g-1)")
         if any(x not in (0, -2) for x in self.r):
             raise ValueError("c-exponents must be 0 or -2")
+
+    @property
+    def genus(self) -> int:
+        return len(self.p)
 
     def letters(self) -> tuple[tuple[CurveLetter, int], ...]:
         """The block in canonical order: d-part, b-part, c-part, a-part."""
@@ -224,16 +227,20 @@ class TBlock:
 
 @dataclass(frozen=True)
 class TDecomposition:
-    """Ordered block decomposition witnessing membership in the family."""
+    """Ordered block decomposition witnessing membership in the family; the
+    genus is that of its blocks."""
 
-    genus: int
     blocks: tuple[TBlock, ...]
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("decomposition must be non-empty")
-        if any(b.genus != self.genus for b in self.blocks):
+        if len({b.genus for b in self.blocks}) > 1:
             raise ValueError("block genus mismatch")
+
+    @property
+    def genus(self) -> int:
+        return self.blocks[0].genus
 
     def reassemble(self) -> TwistWord:
         return TwistWord(self.genus, tuple(chain.from_iterable(
@@ -318,8 +325,8 @@ def validate_family_T(word: TwistWord) -> TDecomposition | FamilyRejection:
 
     if not blocks:  # every run totalled zero
         return FamilyRejection(0, "word collapses to the trivial product")
-    return TDecomposition(g, tuple(
-        TBlock(g, p=_exponents(block["a"], g), q=_exponents(block["b"], g),
+    return TDecomposition(tuple(
+        TBlock(p=_exponents(block["a"], g), q=_exponents(block["b"], g),
                r=_exponents(block["c"], g - 1))
         for block in blocks
     ))

@@ -6,7 +6,7 @@ from twistcert.congruence import quotient_closure
 @pytest.fixture(scope="session")
 def closure_table():
     """Shared genus-2 closure; computed once per test session."""
-    return quotient_closure(2)
+    return quotient_closure()
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ def row_form_product(genus, letters):
     rows = [list(row) for row in IntMatrix.identity(2 * genus).rows]
     for letter, exponent in letters:
         transvect_rows(rows, *transvection(letter, genus), exponent)
-    return SpMatrix(IntMatrix(tuple(map(tuple, rows))), genus)
+    return SpMatrix(IntMatrix(tuple(map(tuple, rows))))
 
 
 def _matrix_diff(lhs, rhs):
@@ -106,7 +106,7 @@ def verify_identities_dense(genus):
                   root_matrix(RootSpec("Z", k - ell, k, 2 ** ell), g))
 
     theta = eval_gen_word(_theta_word(g))
-    check("rotations_give_form_matrix", theta, SpMatrix(symplectic_form(g), g))
+    check("rotations_give_form_matrix", theta, SpMatrix(symplectic_form(g)))
     for jj in range(1, g + 1):
         for kk in range(jj + 1, g + 1):
             lhs = theta @ root_matrix(RootSpec("Z", jj, kk), g).inverse() @ theta.inverse()
@@ -118,7 +118,7 @@ def verify_identities_dense(genus):
             (i, i): -1, (g + i, g + i): -1,
             (g + i, i): -1, (i, g + i): 1,
         })
-        check(f"quarter_turn[i={i}]", rot, SpMatrix(expected, g))
+        check(f"quarter_turn[i={i}]", rot, SpMatrix(expected))
 
     for i in range(1, g):
         checks.append(_chain_relation_check(i, g))

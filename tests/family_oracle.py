@@ -58,7 +58,6 @@ def validate_family_T(word: TwistWord) -> TDecomposition | FamilyRejection:
     def close_block() -> None:
         assert current is not None
         blocks.append(TBlock(
-            g,
             tuple(current["a"].get(i, 0) for i in range(1, g + 1)),
             tuple(current["b"].get(j, 0) for j in range(1, g + 1)),
             tuple(current["c"].get(k, 0) for k in range(1, g)),
@@ -107,4 +106,4 @@ def validate_family_T(word: TwistWord) -> TDecomposition | FamilyRejection:
 
     assert current is not None
     close_block()
-    return TDecomposition(g, tuple(blocks))
+    return TDecomposition(tuple(blocks))

@@ -1,5 +1,6 @@
 """The Schreier BFS over H_2 that built the mod-4 layer certificate before the
-per-block lifts and the relator layer, kept as their oracle at small genus.
+per-block lifts and the relator layer, kept as their oracle at small genus,
+and the full enumeration of a genus-2 certificate with its generator recheck.
 
 A BFS over H_2 keeps the first mod-4 product r reaching each class mod 2, so
 it holds 6^g lifts at genus g. Every other product p = r s lands on the class
@@ -10,10 +11,38 @@ It takes any subset of the closure letters.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
-from twistcert.congruence import (_closure_letters, _delta, _f2_mul, _mod4_key, _sift,
-                                  closure_generators)
+from twistcert.congruence import (ClosureTable, _closure_letters, _delta, _f2_mul, _mod4_key,
+                                  _sift, closure_generators)
+
+
+@lru_cache(maxsize=None)
+def elements(table: ClosureTable) -> frozenset[int]:
+    """Every packed key of the certificate's image: genus 2 only."""
+    return frozenset(table._keys())
+
+
+def recheck_generator_closed(table: ClosureTable) -> bool:
+    """Full pass, about 0.2 s at genus 2: every element times every generator
+    stays inside. Row i of key G is row i of key times G; each distinct row is
+    multiplied once."""
+    keys = elements(table)
+    n = 2 * table.genus
+    shifts, mask = range(0, 2 * n * n, 2 * n), (1 << 2 * n) - 1
+    rows = [[key >> s & mask for key in keys] for s in shifts]
+    entries = {row: [row >> 2 * c & 3 for c in range(n)] for row in set().union(*rows)}
+    for gen in closure_generators(table.genus):
+        times = {row: sum(sum(map(operator.mul, e, col)) % 4 << 2 * j
+                          for j, col in enumerate(zip(*gen.m.rows)))
+                 for row, e in entries.items()}
+        products = (map({row: p << s for row, p in times.items()}.__getitem__, column)
+                    for s, column in zip(shifts, rows))
+        if not keys.issuperset(map(sum, zip(*products))):
+            return False
+    return True
 
 
 def masks(genus: int) -> tuple[int, int, int]:

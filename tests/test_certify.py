@@ -164,10 +164,9 @@ def test_anosov_stable_under_base_block_insertion():
         word = sample_t_word(g, 2, 2, rng)
         dec = validate_family_T(word)
         assert isinstance(dec, TDecomposition)
-        trivial = TBlock(g, (0,) * g, (0,) * g, (0,) * (g - 1))
+        trivial = TBlock((0,) * g, (0,) * g, (0,) * (g - 1))
         for at in range(len(dec.blocks) + 1):
-            padded = TDecomposition(
-                g, dec.blocks[:at] + (trivial,) + dec.blocks[at:]).reassemble()
+            padded = TDecomposition(dec.blocks[:at] + (trivial,) + dec.blocks[at:]).reassemble()
             assert isinstance(validate_family_T(padded), TDecomposition)
 
 

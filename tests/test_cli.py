@@ -303,32 +303,6 @@ def test_well_formed_cache_with_wrong_keys_is_not_read(capsys, tmp_path):
     assert cache.read_bytes() == raw
 
 
-def test_index_and_membership_never_run_the_bfs(capsys, tmp_path, monkeypatch):
-    import twistcert.congruence as congruence
-
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
-    c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
-    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
-
-    def outputs(name):
-        cache = str(tmp_path / name)
-        results = []
-        for argv in (["index"], ["index", "--cache", cache], ["index", "--cache", cache],
-                     ["membership", c1, "--genus", "2"],
-                     ["membership", v14, "--genus", "2", "--cache", cache]):
-            for fmt in ("human", "json"):
-                results.append(run_cli(capsys, *argv, "--format", fmt))
-        return results, (tmp_path / name).read_bytes()
-
-    expected = outputs("plain.bin")
-
-    def no_bfs(*args):
-        raise AssertionError("the full-pass recheck ran")
-
-    monkeypatch.setattr(congruence.ClosureTable, "recheck_generator_closed", no_bfs)
-    assert outputs("patched.bin") == expected
-
-
 def test_index_rebuilds_one_key_cache(capsys, tmp_path):
     # a valid header holding only key 0 (not even the identity)
     cache = tmp_path / "closure.bin"
@@ -339,7 +313,7 @@ def test_index_rebuilds_one_key_cache(capsys, tmp_path):
     assert payload["image_size"] == 36864
     assert payload["index"] == 20
     assert len(cache.read_bytes()) == 20 + 4 * 36864
-    assert quotient_closure(2, str(cache)).size == 36864
+    assert quotient_closure(str(cache)).size == 36864
 
 
 def test_cli_imports_no_numpy():
@@ -538,11 +512,15 @@ def test_matrix_file_entries_are_ascii_integers(capsys, tmp_path):
     # tabs, form feeds and CRLF line ends separate as spaces do, and -0 is zero
     path.write_text(" 1\t-0 0 0\r\n0 1 0 0\f\n\v\n0 0 1 0\n0 0 0 1", encoding="utf-8")
     assert run_cli(capsys, "membership", str(path), "--genus", "2")[0] == 0
-    # an entry past int()'s digit limit is still refused by int() itself
+    # an entry past int()'s digit limit names its line and its length
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    path.write_text("1" * (digits + 1) + " 0 0 0\n" + rest)
-    code, out, err = run_cli(capsys, "membership", str(path), "--genus", "2")
-    assert (code, out, err.count("\n")) == (2, "", 1) and "Exceeds the limit" in err, err
+    for text, line, width in (("1" * (digits + 1) + " 0 0 0\n" + rest, 1, digits + 1),
+                              ("1 0 0 0\n\n0 -" + "9" * (digits + 1) + " 0 0\n" + rest[8:],
+                               3, digits + 2)):
+        path.write_text(text)
+        assert run_cli(capsys, "membership", str(path), "--genus", "2") == (
+            2, "", f"error: cannot read matrix from {path}: line {line}: "
+                   f"integer too long in a {width}-character entry\n")
 
 
 def test_long_matrix_file_is_refused_in_bounded_memory(tmp_path):
@@ -614,6 +592,18 @@ def test_library_value_error_is_internal_error(capsys, monkeypatch, name, argv):
     monkeypatch.setattr(cli, name, broken)
     code, out, err = run_cli(capsys, *argv, "--genus", "2")
     assert (code, out, err) == (4, "", "internal error: ValueError: boom\n")
+
+
+def test_matrix_file_of_another_genus_is_input_error(capsys, tmp_path):
+    # the reader checks the dimension against --genus after the rows parse,
+    # so a ragged or non-square file keeps its own message
+    path = write_matrix(tmp_path, SpMatrix.identity(2), "ident4.txt")
+    assert run_cli(capsys, "membership", path, "--genus", "3") == (
+        2, "", f"error: cannot read matrix from {path}: dimension 4 does not match genus 3\n")
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 0 0 0\n0 1 0\n0 0 1 0\n0 0 0 1\n")
+    assert run_cli(capsys, "membership", str(ragged), "--genus", "3") == (
+        2, "", f"error: cannot read matrix from {ragged}: matrix is not square\n")
 
 
 def test_non_symplectic_matrix_file_is_input_error(capsys, tmp_path):

@@ -39,7 +39,7 @@ from twistcert.congruence import (
     twist_gen,
     verify_identities,
 )
-from layer_oracle import bfs_certificate
+from layer_oracle import bfs_certificate, elements, recheck_generator_closed
 from mod_oracle import mod2_block_test_interleaved, reduce_mod
 from test_cli import write_matrix
 from test_sparse_paths import unchecked
@@ -247,7 +247,7 @@ def test_mod2_block_test_examples():
     assert mod2_block_test(twist_gen("A", 1, 2))
     assert not mod2_block_test(twist_gen("C", 1, 2))
     assert mod2_block_test(twist_gen("C", 1, 2).pow(2))
-    assert mod2_block_test(twist_gen("C", 2, 3).pow(-2), 3)
+    assert mod2_block_test(twist_gen("C", 2, 3).pow(-2))
 
 
 def test_mod2_block_test_on_gen_words():
@@ -295,7 +295,7 @@ def test_closure_size_and_membership(closure_table):
     # |SL(2,F2)|^2 * 2^10, the full preimage of the mod-2 block subgroup
     assert table.size == 36864
     assert sp_group_order_mod(2, 4) % table.size == 0
-    assert reduce_mod(IntMatrix.identity(4), 4).packed_word() in table.elements
+    assert reduce_mod(IntMatrix.identity(4), 4).packed_word() in elements(table)
     assert table.contains(SpMatrix.identity(2))
     # reductions of every root matrix at t = 2 are members
     specs = [RootSpec("V", i, t=2) for i in (1, 2)]
@@ -311,7 +311,7 @@ def test_contains_key_matches_packed_word():
     rng = random.Random(89)
     mats = [eval_gen_word(random_gen_word(rng, g, rng.randint(8, 40)))
             for g in (2, 3, 4) for _ in range(20)]
-    mats += [SpMatrix(IntMatrix.from_unit_entries(4, {(1, 3): t}), 2)
+    mats += [SpMatrix(IntMatrix.from_unit_entries(4, {(1, 3): t}))
              for t in (-(2 ** 70) - 1, -5, 7, 3 ** 45)]
     assert any(min(map(min, m.m.rows)) < 0 for m in mats)
     assert any(max(map(max, m.m.rows)) > 2 ** 64 for m in mats)
@@ -326,22 +326,22 @@ def test_contains_key_matches_packed_word():
 
 def test_contains_refuses_another_genus(closure_table):
     m = eval_word(parse_word("a3^-1 b2 a2 b2 b3^-1 b1 c2", 3))
-    assert membership(m, 3).verdict == NOT_IN_GAMMA
+    assert membership(m).verdict == NOT_IN_GAMMA
     for other in (m, SpMatrix.identity(3)):
         with pytest.raises(ValueError, match="genus mismatch"):
             closure_table.contains(other)
 
 
 def test_closure_generator_closed(closure_table):
-    assert closure_table.recheck_generator_closed()
+    assert recheck_generator_closed(closure_table)
     # one layer vector short, the set is not closed
-    assert not ClosureTable(2, 4, closure_table.basis[:-1]).recheck_generator_closed()
+    assert not recheck_generator_closed(ClosureTable(2, closure_table.basis[:-1]))
 
 
 def test_closure_matches_pure_python_bfs(closure_table):
     # independent oracle for the layer certificate: BFS over every product
     gens = [reduce_mod(g.m, 4) for g in closure_generators(2)]
-    assert _bfs_image(gens) == set(closure_table.elements)
+    assert _bfs_image(gens) == set(elements(closure_table))
 
 
 def _bfs_image(gens):
@@ -413,7 +413,7 @@ def test_layer_certificate_beyond_genus_two(genus):
         for kind, i, j in (("X", 1, 3), ("X", 3, 1), ("Y", 1, 3), ("Z", 1, 3)):
             root = root_matrix(RootSpec(kind, i, j, 2), 3)
             assert not table.contains(root)
-            assert membership(root, 3).verdict == UNKNOWN
+            assert membership(root).verdict == UNKNOWN
             assert table.contains(root_matrix(RootSpec(kind, i, j, 4), 3))
 
 
@@ -469,8 +469,8 @@ def test_certificate_builds_to_genus_eight_with_rank_7g_minus_4():
 def test_enumeration_refuses_genus_three():
     # a genus-3 key has 72 bits and there are 6^3 2^17 of them
     table = congruence._closure_certificate(3)
-    for read in (lambda: table.elements, lambda: table._export_bytes,
-                 table.recheck_generator_closed):
+    for read in (lambda: elements(table), lambda: table._export_bytes,
+                 lambda: recheck_generator_closed(table)):
         with pytest.raises(ValueError, match="genus 2 only"):
             read()
     assert table.contains(SpMatrix.identity(3))
@@ -493,7 +493,7 @@ def test_certificate_invariants_survive_optimize():
             gens[index] = types.SimpleNamespace(m=matrix, genus=2)
             c.closure_generators = lambda genus=2: tuple(gens)
             try:
-                c.quotient_closure(2)
+                c.quotient_closure()
             except ArithmeticError as exc:
                 if message not in str(exc):
                     raise SystemExit(f"raised by another check: {exc}")
@@ -502,7 +502,7 @@ def test_certificate_invariants_survive_optimize():
         c.closure_generators = closure_generators
         c.sp_group_order_mod = lambda genus, modulus: 737280 * 3 + 1
         try:
-            c.quotient_closure(2)
+            c.quotient_closure()
         except ArithmeticError:
             raise SystemExit(0)
         raise SystemExit("size not dividing the group order accepted")
@@ -553,7 +553,7 @@ def test_closure_elements_symplectic_mod_4(closure_table):
     rng = random.Random(97)
     j = symplectic_form(2)
     j_mod = reduce_mod(j, 4)
-    sample = rng.sample(sorted(closure_table.elements), 300)
+    sample = rng.sample(sorted(elements(closure_table)), 300)
     for packed in sample:
         rows = tuple(
             tuple((packed >> (2 * (4 * i + c))) & 3 for c in range(4))
@@ -570,15 +570,15 @@ def test_closure_generator_count():
 
 def test_closure_cache_round_trip(tmp_path, closure_table):
     path = tmp_path / "closure.bin"
-    table = quotient_closure(2, str(path))
+    table = quotient_closure(str(path))
     assert path.exists()
-    again = quotient_closure(2, str(path))
-    assert again.elements == table.elements == closure_table.elements
+    again = quotient_closure(str(path))
+    assert elements(again) == elements(table) == elements(closure_table)
     # header mismatch forces recomputation
     raw = path.read_bytes()
     path.write_bytes(b"XXXX" + raw[4:])
-    rebuilt = quotient_closure(2, str(path))
-    assert rebuilt.elements == table.elements
+    rebuilt = quotient_closure(str(path))
+    assert elements(rebuilt) == elements(table)
 
 
 PARENT_CACHE_SHA256 = "5416c9eacecd3ac606d1c75d0e65efdeb4540f89d8fc30c8749a55092d58599f"
@@ -587,7 +587,7 @@ PARENT_CACHE_SHA256 = "5416c9eacecd3ac606d1c75d0e65efdeb4540f89d8fc30c8749a55092
 def test_closure_cache_bytes_pinned(tmp_path):
     # header <4sIIII, then the 36864 sorted keys as little-endian u32
     path = tmp_path / "closure.bin"
-    quotient_closure(2, str(path))
+    quotient_closure(str(path))
     raw = path.read_bytes()
     assert len(raw) == 147476
     assert hashlib.sha256(raw).hexdigest() == PARENT_CACHE_SHA256
@@ -607,7 +607,7 @@ def test_closure_cache_rejects_inconsistent_file(tmp_path, monkeypatch, closure_
     # as in a process that has neither written nor accepted a cache file yet
     monkeypatch.setattr(congruence, "_well_formed", [None])
     ident = reduce_mod(IntMatrix.identity(4), 4).packed_word()
-    keys = sorted(closure_table.elements)
+    keys = sorted(elements(closure_table))
     others = [k for k in keys if k != ident]
     raw = {
         "only_key_zero": _cache_bytes([0]),
@@ -621,8 +621,8 @@ def test_closure_cache_rejects_inconsistent_file(tmp_path, monkeypatch, closure_
     }[case]
     path = tmp_path / "closure.bin"
     path.write_bytes(raw)
-    table = quotient_closure(2, str(path))
-    assert table.elements == closure_table.elements
+    table = quotient_closure(str(path))
+    assert elements(table) == elements(closure_table)
     # the rebuild rewrote the file
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PARENT_CACHE_SHA256
 
@@ -649,7 +649,7 @@ def test_membership_witness_check_survives_optimize():
         c.eval_gen_word = lambda word: SpMatrix.identity(word.genus)
         root = c.root_matrix(c.RootSpec("Z", 1, 3, t=4), 3)
         try:
-            verdict = c.membership(root, 3)
+            verdict = c.membership(root)
         except ArithmeticError:
             raise SystemExit(0)
         raise SystemExit(f"membership returned {verdict.verdict}")
@@ -663,9 +663,9 @@ def test_membership_witness_check_survives_optimize():
 def test_closure_cache_env_var(tmp_path, monkeypatch, closure_table):
     path = tmp_path / "env_closure.bin"
     monkeypatch.setenv("TWISTCERT_CACHE", str(path))
-    table = quotient_closure(2)
+    table = quotient_closure()
     assert path.exists()
-    assert table.elements == closure_table.elements
+    assert elements(table) == elements(closure_table)
 
 
 def _quiet_main(capsys, *argv):
@@ -758,9 +758,9 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
     # bytes, so none is scanned
     assert built == {"certificate": 1, "export": 1}
 
-    table = quotient_closure(2)
+    table = quotient_closure()
     assert table.basis == build(2).basis
-    assert table.elements == closure_table.elements     # the BFS oracle's image
+    assert elements(table) == elements(closure_table)     # the BFS oracle's image
     # three writes in one process, each the pinned bytes, no temporary file left
     assert [_sha256(p) for p in (existing, new_a, new_b)] == [PARENT_CACHE_SHA256] * 3
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -768,17 +768,17 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
 
 
 def test_membership_genus_two(closure_table):
-    assert membership(twist_gen("C", 1, 2), 2, table=closure_table).verdict == NOT_IN_GAMMA
+    assert membership(twist_gen("C", 1, 2)).verdict == NOT_IN_GAMMA
     assert not mod2_block_test(twist_gen("C", 1, 2))  # independent obstruction
     v14 = root_matrix(RootSpec("V", 1, t=4), 2)
-    assert membership(v14, 2, table=closure_table).verdict == IN_GAMMA
+    assert membership(v14).verdict == IN_GAMMA
 
 
 def test_membership_holds_for_random_generator_words(closure_table):
     rng = random.Random(83)
     for _ in range(100):
         w = random_gen_word(rng, 2, rng.randint(1, 10))
-        assert membership(eval_gen_word(w), 2, table=closure_table).verdict == IN_GAMMA
+        assert membership(eval_gen_word(w)).verdict == IN_GAMMA
 
 
 def test_membership_with_witness():
@@ -786,29 +786,29 @@ def test_membership_with_witness():
     for g in (2, 3):
         w = random_gen_word(rng, g, 6)
         m = eval_gen_word(w)
-        verdict = membership(m, g, witness=w)
+        verdict = membership(m, witness=w)
         assert verdict.verdict == IN_GAMMA
         assert verdict.witness == w
     with pytest.raises(ValueError):
-        membership(SpMatrix.identity(2), 2, witness=GenWord(2, (("A", 1, 1),)))
+        membership(SpMatrix.identity(2), witness=GenWord(2, (("A", 1, 1),)))
 
 
 def test_membership_genus_three_paths():
-    assert membership(twist_gen("C", 1, 3), 3).verdict == NOT_IN_GAMMA
-    assert membership(SpMatrix.identity(3), 3).verdict == IN_GAMMA
-    assert membership(twist_gen("A", 2, 3), 3).verdict == IN_GAMMA
-    assert membership(twist_gen("C", 2, 3).pow(2), 3).verdict == IN_GAMMA
+    assert membership(twist_gen("C", 1, 3)).verdict == NOT_IN_GAMMA
+    assert membership(SpMatrix.identity(3)).verdict == IN_GAMMA
+    assert membership(twist_gen("A", 2, 3)).verdict == IN_GAMMA
+    assert membership(twist_gen("C", 2, 3).pow(2)).verdict == IN_GAMMA
     root = root_matrix(RootSpec("Z", 1, 3, t=4), 3)
-    verdict = membership(root, 3)
+    verdict = membership(root)
     assert verdict.verdict == IN_GAMMA
     assert verdict.witness is not None
     assert eval_gen_word(verdict.witness) == root
     # block-diagonal mod 2 but not a recognizable root element or generator
     mystery = eval_gen_word(parse_gen_word("A1 B2 A1 C1^2 B3^-1", 3))
-    assert membership(mystery, 3).verdict == UNKNOWN
+    assert membership(mystery).verdict == UNKNOWN
     # root element with exponent not a multiple of 2^(g-1) stays unknown
     small_root = root_matrix(RootSpec("Z", 1, 2, t=2), 3)
-    assert membership(small_root, 3).verdict == UNKNOWN
+    assert membership(small_root).verdict == UNKNOWN
 
 
 def test_membership_conjugation_not_invariant(closure_table):
@@ -817,18 +817,29 @@ def test_membership_conjugation_not_invariant(closure_table):
     b1 = twist_gen("B", 1, 2)
     c1 = twist_gen("C", 1, 2)
     conjugated = c1 @ b1 @ c1.inverse()
-    assert membership(b1, 2, table=closure_table).verdict == IN_GAMMA
-    assert membership(conjugated, 2, table=closure_table).verdict == NOT_IN_GAMMA
+    assert membership(b1).verdict == IN_GAMMA
+    assert membership(conjugated).verdict == NOT_IN_GAMMA
 
 
 def test_gamma_index(closure_table):
-    index = gamma_index(2, closure_table)
+    index = gamma_index()
     assert index == 20  # regression constant from the first verified run
     assert index % 20 == 0
     assert index >= 20
     assert index <= 2 ** 64
-    with pytest.raises(ValueError):
-        gamma_index(3)
+
+
+def test_library_membership_and_index_leave_the_cache_file_alone(tmp_path, monkeypatch):
+    # only quotient_closure reads or writes the cache file; a library verdict
+    # does not, whatever TWISTCERT_CACHE says
+    path = tmp_path / "closure.bin"
+    monkeypatch.setenv("TWISTCERT_CACHE", str(path))
+    assert membership(twist_gen("C", 1, 2)).verdict == NOT_IN_GAMMA
+    assert membership(root_matrix(RootSpec("V", 1, t=4), 2)).verdict == IN_GAMMA
+    assert gamma_index() == 20
+    assert not path.exists()
+    quotient_closure()
+    assert path.exists()
 
 
 def test_closure_generators_built_once_per_genus():

@@ -47,7 +47,7 @@ def test_intmatrix_refuses_non_integral_entries(entry):
     # int() would truncate 1.9 and certify the identity
     rows = ((entry, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(TypeError):
-        SpMatrix(IntMatrix(rows), 2)
+        SpMatrix(IntMatrix(rows))
 
 
 def test_intmatrix_takes_ints_and_bools():
@@ -94,40 +94,46 @@ def test_mat_mul_agrees_with_naive_oracle():
 
 
 def test_sp_check_examples():
-    assert sp_check(symplectic_form(2), 2)
+    assert sp_check(symplectic_form(2))
     assert sp_check(E(4, 1, 3))  # A_1 = I + E_{1,g+1} at g=2
     assert not sp_check(E(4, 1, 2))
-    assert sp_check(E(6, 1, 4), 3)  # A_1 at g=3
+    assert sp_check(E(6, 1, 4))  # A_1 at g=3
 
 
 def test_sp_matrix_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        SpMatrix(E(4, 1, 2), 2)
-    with pytest.raises(ValueError):
-        SpMatrix(IntMatrix.identity(4), 3)  # dimension/genus mismatch
+        SpMatrix(E(4, 1, 2))
+
+
+def test_sp_matrix_genus_is_half_its_dimension():
+    for g in (2, 3, 5):
+        assert SpMatrix(IntMatrix.identity(2 * g)).genus == g
+        assert SpMatrix.identity(g).inverse().pow(3).genus == g
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SpMatrix.identity(2) @ SpMatrix.identity(3)
 
 
 def test_sp_matrix_closed_operations_skip_the_check(monkeypatch):
     import twistcert.matrices as matrices
 
-    a1 = SpMatrix(E(4, 1, 3), 2)
-    c1 = SpMatrix(gen("c", 1), 2)
+    a1 = SpMatrix(E(4, 1, 3))
+    c1 = SpMatrix(gen("c", 1))
     calls = []
     monkeypatch.setattr(matrices, "sp_check", lambda *args: calls.append(args) or True)
     product = (a1 @ c1).inverse().pow(-3)
     assert calls == []
     assert matrices.mat_mul(product.m, (a1 @ c1).inverse().pow(3).m).is_identity()
-    SpMatrix(E(4, 1, 3), 2)
+    SpMatrix(E(4, 1, 3))
     assert len(calls) == 1
 
 
 def test_sp_inverse_examples():
     g = 2
-    a1 = SpMatrix(E(4, 1, 3), g)
+    a1 = SpMatrix(E(4, 1, 3))
     assert a1.inverse().m == E(4, 1, 3, -1)
-    j = SpMatrix(symplectic_form(g), g)
+    j = SpMatrix(symplectic_form(g))
     assert j.inverse().m == scale(symplectic_form(g), -1)
-    c1 = SpMatrix(gen("c", 1), g)
+    c1 = SpMatrix(gen("c", 1))
     expected = IntMatrix.from_unit_entries(4, {
         (1, 3): 1, (2, 4): 1, (2, 3): -1, (1, 4): -1})
     assert c1.inverse().m == expected
@@ -256,13 +262,10 @@ def test_sp_check_agrees_with_naive_form_oracle():
                 rows[rng.randrange(2 * g)][rng.randrange(2 * g)] += rng.choice((-2, -1, 1, 3))
             rows = tuple(map(tuple, rows))
             expected = naive_form(rows, g) == j
-            assert sp_check(IntMatrix(rows), g) is expected
             assert sp_check(IntMatrix(rows)) is expected
             accepted += expected
             rejected += not expected
     assert accepted >= 100 and rejected >= 80
-    assert not sp_check(IntMatrix.identity(6), 2)  # dimension mismatch
-    assert not sp_check(IntMatrix.identity(4), 3)
 
 
 def test_mat_mul_row_combination_cases():
@@ -300,10 +303,10 @@ def test_sp_check_forms_no_product(monkeypatch):
     word = parse_word("a1^2 b3^-1 c2 a6 b5^3 c5^-2 a4^-1 b6 c1 b2^2 c3 a3", 6)
     dense = eval_word(word).m
     monkeypatch.setattr(matrices, "mat_mul", refuse)
-    assert sp_check(dense, 6)
-    assert SpMatrix(dense, 6).m == dense
+    assert sp_check(dense)
+    assert SpMatrix(dense).m == dense
     assert eval_word(word).m == dense
     rows = [list(row) for row in dense.rows]
     rows[4][7] += 1
     with pytest.raises(ValueError, match="not symplectic"):
-        SpMatrix(IntMatrix(tuple(map(tuple, rows))), 6)
+        SpMatrix(IntMatrix(tuple(map(tuple, rows))))

@@ -170,7 +170,7 @@ def test_verify_identities_matches_dense_oracle(genus):
 
 def test_conjugation_by_form_matches_delta_mul():
     for g in range(2, 9):
-        form = _delta(SpMatrix(symplectic_form(g), g))
+        form = _delta(SpMatrix(symplectic_form(g)))
         form_inv = _delta_inverse(form, g)
         for j in range(1, g + 1):
             for k in range(j + 1, g + 1):
@@ -247,7 +247,7 @@ def test_verify_identities_failure_path(monkeypatch, capsys, target, genus, fail
 def unchecked(genus, entries):
     """I + the given 1-based entries, not certified: the pattern reader only
     reads entries, and near misses are mostly not symplectic."""
-    return SpMatrix._closed(IntMatrix.from_unit_entries(2 * genus, entries), genus)
+    return SpMatrix._closed(IntMatrix.from_unit_entries(2 * genus, entries))
 
 
 def test_match_root_pattern_on_every_root_kind():
@@ -299,8 +299,8 @@ def test_near_miss_members_stay_unknown():
                 for entries in ({(j, g + j): t, (k, g + k): t},          # V_j V_k
                                 {(g + j, j): t, (g + k, k): -t},         # W_j W_k^-1
                                 {(j, g + k): t, (k, g + j): t, (j, g + j): t}):  # Z V
-                    m = SpMatrix(IntMatrix.from_unit_entries(2 * g, entries), g)
-                    assert membership(m, g).verdict == UNKNOWN, entries
+                    m = SpMatrix(IntMatrix.from_unit_entries(2 * g, entries))
+                    assert membership(m).verdict == UNKNOWN, entries
 
 
 # ---------------------------------------------------------------------------

@@ -129,15 +129,31 @@ def test_mixed_bases_rejected():
         TorusClass(1, 0, "other")
 
 
+def test_orbit_twist_is_that_of_its_curve():
+    for kind, top in (("a", 3), ("b", 3), ("c", 2)):
+        for index in range(1, top + 1):
+            curve = CurveLetter(kind, index)
+            for phase in (PHASE_ZERO, PHASE_3PI2):
+                assert OrbitSpec(curve, 1, phase).twist == twist_of_orbit(curve)
+    # an a-orbit has twist 0, so index k = 2 gives order +2, never -2
+    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
+    with pytest.raises(ValueError, match="gives order 2, not -2"):
+        SurgeryOp(orbit, 2, -2)
+    plan = SurgeryPlan(2, ((SurgeryOp(orbit, 2, 2),),))
+    assert (plan.block_count, plan.op_count()) == (1, 1)
+    assert monodromy_from_plan(plan) == parse_word("d1^-2 a1^2", 2)
+    assert plan_as_json_dict(plan)["blocks"][0]["ops"][0]["twist"] == 0
+
+
 def test_surgery_op_validates_table():
-    orbit = OrbitSpec(CurveLetter("c", 1), 1, PHASE_ZERO, 1)
+    orbit = OrbitSpec(CurveLetter("c", 1), 1, PHASE_ZERO)
     SurgeryOp(orbit, 2, -2)
     with pytest.raises(ValueError):
         SurgeryOp(orbit, 2, 2)
     with pytest.raises(TwistOrderRejection):
         SurgeryOp(orbit, 3, -3)
     with pytest.raises(ValueError):
-        OrbitSpec(CurveLetter("d", 1), 1, PHASE_ZERO, 0)
+        OrbitSpec(CurveLetter("d", 1), 1, PHASE_ZERO)
 
 
 def test_plan_from_example_word(example_word_text):
@@ -161,8 +177,8 @@ def test_plan_hat_tau_d_is_empty():
 
 def test_plan_b_block_arbitrary_order():
     g = 3
-    block = TBlock(g, (0,) * g, (0, 0, -3), (0,) * (g - 1))
-    plan = plan_from_T_word(TDecomposition(g, (block,)))
+    block = TBlock((0,) * g, (0, 0, -3), (0,) * (g - 1))
+    plan = plan_from_T_word(TDecomposition((block,)))
     (op,) = plan.ops[0]
     assert str(op.orbit.curve) == "b3"
     assert op.index_k == -3 and op.order_l == -3
@@ -177,14 +193,14 @@ def test_monodromy_round_trip(example_word_text):
 
 
 def test_monodromy_from_empty_plan():
-    plan = SurgeryPlan(2, 1, ((),))
+    plan = SurgeryPlan(2, ((),))
     word = monodromy_from_plan(plan)
     assert word == hat_tau_d_word(2)
 
 
 def test_monodromy_single_a_op():
-    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO, 0)
-    plan = SurgeryPlan(2, 1, ((SurgeryOp(orbit, 1, 1),),))
+    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
+    plan = SurgeryPlan(2, ((SurgeryOp(orbit, 1, 1),),))
     word = monodromy_from_plan(plan)
     assert eval_word(word) == generator_matrix(CurveLetter("a", 1), 2)
 
@@ -195,14 +211,13 @@ def test_round_trip_property_small():
         g = rng.choice((2, 3))
         blocks = tuple(
             TBlock(
-                g,
                 tuple(rng.randint(-3, 3) for _ in range(g)),
                 tuple(rng.randint(-3, 3) for _ in range(g)),
                 tuple(rng.choice((0, -2)) for _ in range(g - 1)),
             )
             for _ in range(rng.randint(1, 4))
         )
-        dec = TDecomposition(g, blocks)
+        dec = TDecomposition(blocks)
         word = dec.reassemble()
         plan = plan_from_T_word(dec)
         back = monodromy_from_plan(plan)
@@ -211,15 +226,15 @@ def test_round_trip_property_small():
 
 
 def test_plan_rejects_duplicate_orbits():
-    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO, 0)
+    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
     op = SurgeryOp(orbit, 1, 1)
     with pytest.raises(ValueError):
-        SurgeryPlan(2, 1, ((op, op),))
+        SurgeryPlan(2, ((op, op),))
+    with pytest.raises(ValueError, match="wrong block"):
+        SurgeryPlan(2, ((), (op,)))  # an op of block 1 filed under block 2
+    out_of_range = SurgeryOp(OrbitSpec(CurveLetter("a", 5), 1, PHASE_ZERO), 1, 1)
     with pytest.raises(ValueError):
-        SurgeryPlan(2, 2, ((op,),))  # wrong grouping count
-    out_of_range = SurgeryOp(OrbitSpec(CurveLetter("a", 5), 1, PHASE_ZERO, 0), 1, 1)
-    with pytest.raises(ValueError):
-        SurgeryPlan(2, 1, ((out_of_range,),))
+        SurgeryPlan(2, ((out_of_range,),))
 
 
 def test_plan_serialization(example_word_text):

@@ -148,7 +148,7 @@ def test_eval_word_symplectic_with_reciprocal_charpoly():
     for _ in range(15):
         g = rng.choice((2, 3))
         m = eval_word(random_word(rng, g, 10))
-        assert sp_check(m.m, g)
+        assert sp_check(m.m)
         assert det(m.m) == 1
         assert is_reciprocal(charpoly(m.m))
 
@@ -187,8 +187,8 @@ def test_validate_example_word(example_word_text):
     dec = validate_family_T(parse_word(example_word_text, 2))
     assert isinstance(dec, TDecomposition)
     assert len(dec.blocks) == 2
-    assert dec.blocks[0] == TBlock(2, (1, 0), (0, 0), (-2,))
-    assert dec.blocks[1] == TBlock(2, (0, 0), (1, 1), (0,))
+    assert dec.blocks[0] == TBlock((1, 0), (0, 0), (-2,))
+    assert dec.blocks[1] == TBlock((0, 0), (1, 1), (0,))
 
 
 def test_validate_hat_tau_d():
@@ -249,8 +249,8 @@ def test_validate_accepts_sampled_family_words():
             p = tuple(rng.randint(-3, 3) for _ in range(g))
             q = tuple(rng.randint(-3, 3) for _ in range(g))
             r = tuple(rng.choice((0, -2)) for _ in range(g - 1))
-            blocks.append(TBlock(g, p, q, r))
-        word = TDecomposition(g, tuple(blocks)).reassemble()
+            blocks.append(TBlock(p, q, r))
+        word = TDecomposition(tuple(blocks)).reassemble()
         dec = validate_family_T(word)
         assert isinstance(dec, TDecomposition)
         assert eval_word(dec.reassemble()) == eval_word(word)
@@ -273,7 +273,7 @@ def test_reassemble_matches_block_by_block_concatenation():
     for g in range(2, 7):
         for count in (1, 2, 50, *(rng.randint(1, 50) for _ in range(5))):
             bound = rng.randint(0, 3)
-            dec = TDecomposition(g, tuple(sample_t_block(g, bound, rng) for _ in range(count)))
+            dec = TDecomposition(tuple(sample_t_block(g, bound, rng) for _ in range(count)))
             assert dec.reassemble() == concatenated_blocks(dec)
 
 
@@ -282,7 +282,7 @@ def test_reassemble_is_linear_in_the_block_count():
     # new tuple; one pass takes about 0.15 s on one core of a 2-core x86-64
     # container
     rng = random.Random(20000)
-    dec = TDecomposition(2, tuple(sample_t_block(2, 2, rng) for _ in range(20000)))
+    dec = TDecomposition(tuple(sample_t_block(2, 2, rng) for _ in range(20000)))
     start = time.perf_counter()
     word = dec.reassemble()
     assert time.perf_counter() - start < 1.0
@@ -297,11 +297,18 @@ def test_validate_accepts_unordered_b_run():
 
 def test_tblock_validation():
     with pytest.raises(ValueError):
-        TBlock(2, (1,), (0, 0), (0,))
+        TBlock((1,), (0, 0), (0,))
+    with pytest.raises(ValueError, match="lengths"):
+        TBlock((0, 0), (0, 0), ())
     with pytest.raises(ValueError):
-        TBlock(2, (0, 0), (0, 0), (-1,))
+        TBlock((0, 0), (0, 0), (-1,))
     with pytest.raises(ValueError):
-        TDecomposition(2, ())
+        TDecomposition(())
+    # the genus is len(p), and a decomposition's genus is that of its blocks
+    g2, g3 = TBlock((1, 0), (0, 0), (-2,)), TBlock((0, 0, 1), (0, 0, 0), (0, -2))
+    assert (g2.genus, g3.genus, TDecomposition((g3, g3)).genus) == (2, 3, 3)
+    with pytest.raises(ValueError, match="block genus mismatch"):
+        TDecomposition((g2, g3))
 
 
 def test_twist_word_validation():
@@ -329,7 +336,7 @@ def dense_letter(kind, index, genus):
 
 def dense_power(kind, index, genus, exponent):
     m = dense_letter(kind, index, genus)
-    base = m if exponent > 0 else SpMatrix(m, genus).inverse().m
+    base = m if exponent > 0 else SpMatrix(m).inverse().m
     return mat_pow(base, abs(exponent))
 
 
