@@ -364,7 +364,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.set_defaults(func=func)
 
-    cache = {"help": "closure cache file (overrides TWISTCERT_CACHE)"}
+    cache = {"help": "closure cache file"}
     add("eval", cmd_eval, "evaluate a twist word on homology", "word")
     add("certify", cmd_certify, "full certification report for a word", "word",
         strict={"action": "store_true",

@@ -23,8 +23,7 @@ import stat
 import struct
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import islice, product
+from functools import lru_cache, reduce
 
 from .matrices import IntMatrix, SpMatrix, symplectic_form
 from .words import (MAX_WORD_LETTERS, CurveLetter, generator_matrix, token_pattern,
@@ -32,10 +31,8 @@ from .words import (MAX_WORD_LETTERS, CurveLetter, generator_matrix, token_patte
 
 ROOT_KINDS = ("V", "W", "X", "Y", "Z")
 
-CACHE_ENV_VAR = "TWISTCERT_CACHE"
 _CACHE_MAGIC = b"TWCL"
-_CACHE_VERSION = 1
-_well_formed = [None]       # the last cache bytes written, or scanned and well-formed
+_CACHE_VERSION = 2
 
 
 def sp_group_order_mod(genus: int, modulus: int) -> int:
@@ -617,8 +614,7 @@ class ClosureTable:
     extension of H_2 = SL_2(F_2)^g, its reduction mod 2, lifted block by block
     (`_block_lifts`), by N, its part in Gamma(2)/Gamma(4). `basis` is an F_2
     basis of the layer vectors X of N, whose elements are I + 2X mod 4, with
-    entry (i, c) of X in bit 2(2g i + c). The cache export enumerates every
-    key: genus 2 only."""
+    entry (i, c) of X in bit 2(2g i + c)."""
 
     genus: int
     basis: tuple[int, ...]
@@ -628,27 +624,14 @@ class ClosureTable:
     def size(self) -> int:
         return 6 ** self.genus * 2 ** len(self.basis)
 
-    @cached_property
+    @property
     def _export_bytes(self) -> bytes:
-        """The cache file: the header, then the sorted keys as little-endian u32."""
-        keys = sorted(self._keys())
-        return _cache_header(self) + struct.pack(f"<{len(keys)}I", *keys)
-
-    def _keys(self) -> list[int]:
-        """Every packed key of the image, coset by coset: (I + 2X) r for the
-        lift r of h is r + 2 X h, which is r XOR (X h moved to the high bits)."""
-        if self.genus != 2:
-            raise ValueError("enumerating the image is implemented for genus 2 only")
-        low, _, blocks = _block_lifts(self.genus)
-        keys = []
-        for parts in product(*(lifts.values() for _, lifts in blocks)):
-            rep = sum(lift for lift, _ in parts)
-            coset = [rep]
-            for x in self.basis:
-                step = _f2_mul(x, rep & low, self.genus) << 1
-                coset += [key ^ step for key in coset]
-            keys += coset
-        return keys
+        """The cache file: the `<4sIIII` header (magic, version, genus,
+        modulus, rank), then the basis vectors in order, each as g^2
+        little-endian bytes (its 4g^2 entries lie in the even bits of 8g^2)."""
+        header = struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION, self.genus, self.modulus,
+                             len(self.basis))
+        return header + b"".join(x.to_bytes(self.genus ** 2, "little") for x in self.basis)
 
     def contains(self, m: SpMatrix) -> bool:
         """Each block of m mod 2 must be a class of SL_2(F_2), with m mod 2
@@ -712,72 +695,43 @@ def quotient_closure(cache_path: str | None = None) -> ClosureTable:
     """The image of the subgroup in Sp(4, Z/4) (genus 2, modulus 4), as a
     layer certificate built once per process from closure_generators(2).
 
-    cache_path (or the TWISTCERT_CACHE environment variable) names a file the
-    image is exported to: a versioned header, then the sorted packed keys. The
-    file is read on every call, and written when missing or not well-formed;
-    no key read from it is used. OSError says which path could not be used.
-    This is the one function that touches the cache file.
+    cache_path names a file the certificate is exported to. The file is
+    left as it was when its bytes equal the export bytes, and is otherwise
+    written; nothing read from it is used. OSError says which path could not
+    be used. This is the one function that touches the cache file.
     """
     table = _closure_certificate(2)
-    if cache_path is None:
-        cache_path = os.environ.get(CACHE_ENV_VAR)
     if cache_path:
         try:
-            if not _cache_well_formed(cache_path, table):
-                _store_closure_cache(cache_path, table)
+            _store_closure_cache(cache_path, table._export_bytes)
         except OSError as exc:
             raise OSError(f"cannot use cache {cache_path}: {exc.strerror or exc}") from exc
     return table
 
 
-def _cache_header(table: ClosureTable) -> bytes:
-    return struct.pack("<4sIIII", _CACHE_MAGIC, _CACHE_VERSION, table.genus, table.modulus,
-                       table.size)
-
-
-def _cache_well_formed(path: str, table: ClosureTable) -> bool:
-    """The exact header with count = table.size, exactly that many keys after
-    it, each larger than the one before. A missing file is not well-formed; a
-    path that is there but is not a regular file (a directory, a device, a
-    FIFO) raises OSError before anything opens or replaces it. Bytes equal to
-    the ones this process last wrote or accepted are not scanned again."""
-    header = _cache_header(table)
-    size = len(header) + 4 * table.size
+def _store_closure_cache(path: str, data: bytes) -> None:
+    """Leave the file as it was if it holds exactly data; else write data to
+    a temporary file and rename it over the path. A path that is there but is
+    not a regular file (a directory, a device, a FIFO) raises OSError before
+    anything opens or replaces it."""
     try:
         mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        pass
+    else:
         if not stat.S_ISREG(mode):
             raise OSError(os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file")
         with open(path, "rb") as fh:
-            data = fh.read(size + 1)
-    except FileNotFoundError:
-        return False
-    if data[:len(header)] != header or len(data) != size:
-        return False
-    if data != _well_formed[0]:
-        if not _keys_increase(data[len(header):]):
-            return False
-        _well_formed[0] = data
-    return True
-
-
-def _keys_increase(body: bytes) -> bool:
-    """Whether the little-endian u32 keys of body increase strictly. It is
-    not memoized: the caller skips it on bytes it has already accepted."""
-    keys = struct.unpack(f"<{len(body) // 4}I", body)
-    return all(map(operator.lt, keys, islice(keys, 1, None)))
-
-
-def _store_closure_cache(path: str, table: ClosureTable) -> None:
-    """Write the export bytes to a temporary file, then rename it."""
+            if fh.read(len(data) + 1) == data:
+                return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(table._export_bytes)
+            fh.write(data)
         os.replace(tmp, path)
-        _well_formed[0] = table._export_bytes
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -860,11 +814,4 @@ def gamma_index() -> int:
     """[Sp(4,Z) : subgroup] = |Sp(4, Z/4)| / |image|, exact because the
     subgroup contains the level-4 principal congruence subgroup. The cache
     file is not read or written."""
-    table = _closure_certificate(2)
-    total = sp_group_order_mod(2, 4)
-    if total % table.size != 0:
-        raise ArithmeticError("closure size does not divide the group order")
-    index = total // table.size
-    if index > 2 ** 64:
-        raise ArithmeticError("index exceeds the 2^(8g^3) bound at g=2")
-    return index
+    return sp_group_order_mod(2, 4) // _closure_certificate(2).size

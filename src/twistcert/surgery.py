@@ -57,8 +57,6 @@ def twist_of_orbit(curve: CurveLetter) -> int:
     c-orbits."""
     if curve.kind == "d":
         raise ValueError("d-orbits define the base monodromy; no surgeries on them")
-    if curve.kind not in ("a", "b", "c"):
-        raise ValueError(f"unknown orbit kind {curve.kind!r}")
     return 1 if curve.kind == "c" else 0
 
 

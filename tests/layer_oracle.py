@@ -14,15 +14,29 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from twistcert.congruence import (ClosureTable, _closure_letters, _delta, _f2_mul, _mod4_key,
-                                  _sift, closure_generators)
+from twistcert.congruence import (ClosureTable, _block_lifts, _closure_letters, _delta, _f2_mul,
+                                  _mod4_key, _sift, closure_generators)
 
 
 @lru_cache(maxsize=None)
 def elements(table: ClosureTable) -> frozenset[int]:
-    """Every packed key of the certificate's image: genus 2 only."""
-    return frozenset(table._keys())
+    """Every packed key of the certificate's image, coset by coset: genus 2
+    only. (I + 2X) r for the lift r of h is r + 2 X h, which is r XOR (X h
+    moved to the high bits)."""
+    if table.genus != 2:
+        raise ValueError("enumerating the image is implemented for genus 2 only")
+    low, _, blocks = _block_lifts(table.genus)
+    keys = []
+    for parts in product(*(lifts.values() for _, lifts in blocks)):
+        rep = sum(lift for lift, _ in parts)
+        coset = [rep]
+        for x in table.basis:
+            step = _f2_mul(x, rep & low, table.genus) << 1
+            coset += [key ^ step for key in coset]
+        keys += coset
+    return frozenset(keys)
 
 
 def recheck_generator_closed(table: ClosureTable) -> bool:

@@ -163,9 +163,7 @@ def test_synthesize(capsys):
     assert code == 2
 
 
-def test_membership_cli(capsys, tmp_path, closure_table, monkeypatch):
-    cache = tmp_path / "closure.bin"
-    monkeypatch.setenv("TWISTCERT_CACHE", str(cache))
+def test_membership_cli(capsys, tmp_path, closure_table):
     c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
     code, payload, _ = run_json(capsys, "membership", c1, "--genus", "2")
     assert code == 1
@@ -250,19 +248,15 @@ def test_index_with_cache(capsys, tmp_path):
     assert json.loads(out2) == payload
 
 
-@pytest.mark.parametrize("caller", ["index", "membership", "env"])
+@pytest.mark.parametrize("caller", ["index", "membership"])
 @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
-def test_unusable_cache_path_is_an_input_error(capsys, tmp_path, monkeypatch, caller, kind):
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+def test_unusable_cache_path_is_an_input_error(capsys, tmp_path, caller, kind):
     path = str(tmp_path) if kind == "directory" else os.devnull + "/x"
     if caller == "index":
         argv = ["index", "--cache", path]
-    elif caller == "membership":
+    else:
         v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
         argv = ["membership", v14, "--genus", "2", "--cache", path]
-    else:
-        monkeypatch.setenv("TWISTCERT_CACHE", path)
-        argv = ["index"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -276,8 +270,7 @@ def test_cache_path_that_is_not_a_regular_file_is_left_alone(tmp_path):
     fifo = tmp_path / "closure.fifo"
     os.mkfifo(fifo)
     script = "import sys\nfrom twistcert.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", script, "index", "--cache", str(fifo)],
                             env=env, capture_output=True, text=True, timeout=30)
     assert (result.returncode, result.stdout) == (2, "")
@@ -286,25 +279,32 @@ def test_cache_path_that_is_not_a_regular_file_is_left_alone(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
-def test_well_formed_cache_with_wrong_keys_is_not_read(capsys, tmp_path):
-    # right header and count, increasing keys, none of them the image's: the
-    # file is export-only, so no verdict reads it and it is not rewritten
+def test_cache_with_wrong_basis_is_rewritten(capsys, tmp_path):
+    # right header and rank, a basis that is not the image's (the identity
+    # matrix's layer vector, ten times): no verdict reads the file, and each
+    # call rewrites it
     cache = tmp_path / "closure.bin"
-    raw = struct.pack("<4sIIII36864I", b"TWCL", 1, 2, 4, 36864, *range(36864))
-    cache.write_bytes(raw)
-    code, payload, _ = run_json(capsys, "index", "--cache", str(cache))
-    assert (code, payload["image_size"], payload["index"]) == (0, 36864, 20)
+    good = tmp_path / "good.bin"
+    quotient_closure(str(good))
+    wrong = struct.pack("<4sIIII10I", b"TWCL", 2, 2, 4, 10, *[0x40100401] * 10)
     c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
     v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+    cache.write_bytes(wrong)
+    code, payload, _ = run_json(capsys, "index", "--cache", str(cache))
+    assert (code, payload["image_size"], payload["index"]) == (0, 36864, 20)
+    assert cache.read_bytes() == good.read_bytes()
+    cache.write_bytes(wrong)
     code, payload, _ = run_json(capsys, "membership", c1, "--genus", "2", "--cache", str(cache))
     assert (code, payload["verdict"]) == (1, "NotInGamma")
+    assert cache.read_bytes() == good.read_bytes()
+    cache.write_bytes(wrong)
     code, payload, _ = run_json(capsys, "membership", v14, "--genus", "2", "--cache", str(cache))
     assert (code, payload["verdict"]) == (0, "InGamma")
-    assert cache.read_bytes() == raw
+    assert cache.read_bytes() == good.read_bytes()
 
 
 def test_index_rebuilds_one_key_cache(capsys, tmp_path):
-    # a valid header holding only key 0 (not even the identity)
+    # a version-1 header holding only key 0 (not even the identity)
     cache = tmp_path / "closure.bin"
     cache.write_bytes(struct.pack("<4sIIIII", b"TWCL", 1, 2, 4, 1, 0))
     assert len(cache.read_bytes()) == 24
@@ -312,7 +312,7 @@ def test_index_rebuilds_one_key_cache(capsys, tmp_path):
     assert code == 0
     assert payload["image_size"] == 36864
     assert payload["index"] == 20
-    assert len(cache.read_bytes()) == 20 + 4 * 36864
+    assert len(cache.read_bytes()) == 20 + 4 * 10     # the header and 10 basis vectors
     assert quotient_closure(str(cache)).size == 36864
 
 
@@ -321,8 +321,7 @@ def test_cli_imports_no_numpy():
               "from twistcert.cli import main\n"
               "code = main(['index', '--format', 'json'])\n"
               "sys.exit('numpy imported' if 'numpy' in sys.modules else code)\n")
-    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -530,8 +529,7 @@ def test_long_matrix_file_is_refused_in_bounded_memory(tmp_path):
               "from twistcert.cli import main\n"
               "code = main(['membership', sys.argv[1], '--genus', '2'])\n"
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                             capture_output=True, text=True, timeout=120)
     code, peak_kib = map(int, result.stdout.split())
@@ -555,8 +553,7 @@ def test_family_verdicts_are_the_same_under_optimize():
                        for command in ("certify", "plan")
                        for word in (EXAMPLE, "d1^-2 c1^-1 a1")
                        for fmt in ("human", "json")])
-    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     results = [subprocess.run([sys.executable, *flags, "-c", script, argv], env=env,
                               capture_output=True, timeout=120)
                for flags in ((), ("-O",))]
@@ -706,10 +703,9 @@ def test_specs_and_generator_words_in_use_read_as_before(monkeypatch):
     assert formulas
 
 
-def test_repeated_main_calls_carry_no_state(capsys, tmp_path, monkeypatch):
+def test_repeated_main_calls_carry_no_state(capsys, tmp_path):
     # flags and --cache do not leak into the next call, and the per-genus
     # closure generators shared across calls give the first call's answers
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
     cache = tmp_path / "closure.bin"
     c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
     a1 = write_matrix(tmp_path, twist_gen("A", 1, 3), "a1.txt")
@@ -921,7 +917,6 @@ def golden_digest(capsys, tmp_path, argv, fmt):
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
-def test_golden_corpus(capsys, tmp_path, monkeypatch, name, fmt):
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+def test_golden_corpus(capsys, tmp_path, name, fmt):
     digest = golden_digest(capsys, tmp_path, GOLDEN_ARGV[name], fmt)
     assert digest == GOLDEN_SHA256[name][fmt == "json"]

@@ -106,8 +106,7 @@ def add_parser_calls(monkeypatch):
     return calls
 
 
-def test_a_valid_op_builds_one_subparser(capsys, tmp_path, monkeypatch, add_parser_calls):
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+def test_a_valid_op_builds_one_subparser(capsys, tmp_path, add_parser_calls):
     matrix = tmp_path / "m.txt"
     matrix.write_text("\n".join(" ".join(map(str, row))
                                 for row in twist_gen("A", 1, 2).m.rows) + "\n")

@@ -10,7 +10,7 @@ import textwrap
 import time
 from array import array
 from collections import Counter, deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import pytest
 
@@ -467,12 +467,15 @@ def test_certificate_builds_to_genus_eight_with_rank_7g_minus_4():
 
 
 def test_enumeration_refuses_genus_three():
-    # a genus-3 key has 72 bits and there are 6^3 2^17 of them
+    # a genus-3 key has 72 bits and there are 6^3 2^17 of them; the cache
+    # file holds the 17 basis vectors instead, 9 bytes each
     table = congruence._closure_certificate(3)
-    for read in (lambda: elements(table), lambda: table._export_bytes,
-                 lambda: recheck_generator_closed(table)):
+    for read in (lambda: elements(table), lambda: recheck_generator_closed(table)):
         with pytest.raises(ValueError, match="genus 2 only"):
             read()
+    raw = table._export_bytes
+    assert len(raw) == 20 + 17 * 9 == 173
+    assert _decode_cache(raw) == (b"TWCL", 2, 3, 4, table.basis)
     assert table.contains(SpMatrix.identity(3))
     assert table.size == 6 ** 3 * 2 ** 17
 
@@ -574,65 +577,76 @@ def test_closure_cache_round_trip(tmp_path, closure_table):
     assert path.exists()
     again = quotient_closure(str(path))
     assert elements(again) == elements(table) == elements(closure_table)
-    # header mismatch forces recomputation
+    # header mismatch forces a rewrite
     raw = path.read_bytes()
     path.write_bytes(b"XXXX" + raw[4:])
     rebuilt = quotient_closure(str(path))
     assert elements(rebuilt) == elements(table)
+    assert path.read_bytes() == raw
 
 
-PARENT_CACHE_SHA256 = "5416c9eacecd3ac606d1c75d0e65efdeb4540f89d8fc30c8749a55092d58599f"
+PARENT_CACHE_SHA256 = "24c2a4902c502d4ff2d7329f09675d9d5b1a5160956bcfbd6bec57cd30b691ae"
+
+
+def _decode_cache(raw):
+    """The header fields and the basis vectors of a version-2 cache file."""
+    magic, version, genus, modulus, rank = struct.unpack_from("<4sIIII", raw)
+    width = genus * genus
+    assert len(raw) == 20 + width * rank
+    vectors = tuple(int.from_bytes(raw[20 + width * k:20 + width * (k + 1)], "little")
+                    for k in range(rank))
+    return magic, version, genus, modulus, vectors
 
 
 def test_closure_cache_bytes_pinned(tmp_path):
-    # header <4sIIII, then the 36864 sorted keys as little-endian u32
+    # header <4sIIII (magic, version 2, genus, modulus, rank), then the 10
+    # basis vectors as 4 little-endian bytes each
     path = tmp_path / "closure.bin"
     quotient_closure(str(path))
     raw = path.read_bytes()
-    assert len(raw) == 147476
+    assert len(raw) == 60
     assert hashlib.sha256(raw).hexdigest() == PARENT_CACHE_SHA256
+    assert _decode_cache(raw) == (b"TWCL", 2, 2, 4, congruence._closure_certificate(2).basis)
     assert os.listdir(tmp_path) == ["closure.bin"]  # no temporary file left
 
 
-def _cache_bytes(keys, count=None):
+def _v1_cache_bytes(keys, count=None):
+    """A version-1 file: the header with a key count, then u32 keys."""
     count = len(keys) if count is None else count
     return struct.pack(f"<4sIIII{len(keys)}I", b"TWCL", 1, 2, 4, count, *keys)
 
 
 @pytest.mark.parametrize("case", [
     "only_key_zero", "missing_identity", "repeated_key", "size_not_dividing",
-    "short_data", "trailing_data", "huge_count", "empty",
+    "short_data", "trailing_data", "huge_count", "empty", "version_1",
 ])
-def test_closure_cache_rejects_inconsistent_file(tmp_path, monkeypatch, closure_table, case):
-    # as in a process that has neither written nor accepted a cache file yet
-    monkeypatch.setattr(congruence, "_well_formed", [None])
+def test_closure_cache_rejects_inconsistent_file(tmp_path, closure_table, case):
     ident = reduce_mod(IntMatrix.identity(4), 4).packed_word()
     keys = sorted(elements(closure_table))
     others = [k for k in keys if k != ident]
     raw = {
-        "only_key_zero": _cache_bytes([0]),
-        "missing_identity": _cache_bytes(others[:36864 // 2]),
-        "repeated_key": _cache_bytes(keys[:-1] + keys[:1]),
-        "size_not_dividing": _cache_bytes([ident] + others[:6]),
-        "short_data": _cache_bytes(keys)[:-4],
-        "trailing_data": _cache_bytes(keys) + b"\0\0\0\0",
-        "huge_count": _cache_bytes([ident], count=2 ** 32 - 1),
+        "only_key_zero": _v1_cache_bytes([0]),
+        "missing_identity": _v1_cache_bytes(others[:36864 // 2]),
+        "repeated_key": _v1_cache_bytes(keys[:-1] + keys[:1]),
+        "size_not_dividing": _v1_cache_bytes([ident] + others[:6]),
+        "short_data": _v1_cache_bytes(keys)[:-4],
+        "trailing_data": _v1_cache_bytes(keys) + b"\0\0\0\0",
+        "huge_count": _v1_cache_bytes([ident], count=2 ** 32 - 1),
         "empty": b"",
+        "version_1": _v1_cache_bytes(keys),     # the whole image, as written before
     }[case]
     path = tmp_path / "closure.bin"
     path.write_bytes(raw)
     table = quotient_closure(str(path))
     assert elements(table) == elements(closure_table)
-    # the rebuild rewrote the file
+    # the file was rewritten to the version-2 bytes
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PARENT_CACHE_SHA256
 
 
 def test_empty_cache_file_is_rewritten_in_a_fresh_process(tmp_path):
-    # the first cache check of a process compares against nothing it wrote
     path = tmp_path / "closure.bin"
     path.write_bytes(b"")
-    env = {k: v for k, v in os.environ.items() if k != "TWISTCERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     script = "import sys\nfrom twistcert.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     result = subprocess.run([sys.executable, "-c", script, "index", "--cache", str(path)],
                             env=env, capture_output=True, text=True, timeout=60)
@@ -660,12 +674,16 @@ def test_membership_witness_check_survives_optimize():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_closure_cache_env_var(tmp_path, monkeypatch, closure_table):
+def test_closure_cache_env_var(capsys, tmp_path, monkeypatch):
+    # TWISTCERT_CACHE is not read: --cache PATH and quotient_closure(path)
+    # are the only ways to name the file
     path = tmp_path / "env_closure.bin"
     monkeypatch.setenv("TWISTCERT_CACHE", str(path))
-    table = quotient_closure()
-    assert path.exists()
-    assert elements(table) == elements(closure_table)
+    v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
+    assert _quiet_main(capsys, "index") == 0
+    assert _quiet_main(capsys, "membership", v14, "--genus", "2") == 0
+    quotient_closure()
+    assert os.listdir(tmp_path) == ["v14.txt"]
 
 
 def _quiet_main(capsys, *argv):
@@ -678,49 +696,39 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_closure_memo_never_hides_a_changed_cache(capsys, tmp_path, monkeypatch):
-    # the certificate and the well-formed verdict are memoized per process,
-    # but the file is read on every call, so each change below is seen
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
+def test_closure_memo_never_hides_a_changed_cache(capsys, tmp_path):
+    # the certificate is memoized per process, but every call compares the
+    # file with the export bytes afresh: each change below is rewritten,
+    # whatever the process wrote or saw before
     v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
     source = tmp_path / "source.bin"
     assert _quiet_main(capsys, "index", "--cache", source) == 0
     assert _sha256(source) == PARENT_CACHE_SHA256
     raw = source.read_bytes()
-    path = tmp_path / "closure.bin"      # first seen well-formed, not missing
+    path = tmp_path / "closure.bin"
     path.write_bytes(raw)
     changes = {
         "header": b"XXXX" + raw[4:],
-        "swapped_keys": raw[:20] + raw[24:28] + raw[20:24] + raw[28:],
+        "swapped_vectors": raw[:20] + raw[24:28] + raw[20:24] + raw[28:],
         "trailing_byte": raw + b"\0",
+        "wrong_basis": raw[:20] + bytes(40),
     }
     for n, changed in enumerate(changes.values()):
-        assert _quiet_main(capsys, "index", "--cache", path) == 0   # memo holds raw
+        assert _quiet_main(capsys, "index", "--cache", path) == 0   # left as it was
         path.write_bytes(changed)
         argv = ["index"] if n % 2 else ["membership", v14, "--genus", "2"]
         assert _quiet_main(capsys, *argv, "--cache", path) == 0
         assert path.read_bytes() == raw
-    # a well-formed file with the wrong keys is never rewritten, also when
-    # reads of another file evict its verdict between calls
-    wrong = tmp_path / "wrong.bin"
-    wrong_raw = struct.pack("<4sIIII36864I", b"TWCL", 1, 2, 4, 36864, *range(36864))
-    wrong.write_bytes(wrong_raw)
-    for n in range(5):
-        argv = ["index"] if n % 2 else ["membership", v14, "--genus", "2"]
-        assert _quiet_main(capsys, *argv, "--cache", wrong) == 0
-        assert wrong.read_bytes() == wrong_raw
-        if n == 2:
-            assert _quiet_main(capsys, "index", "--cache", path) == 0
-    assert path.read_bytes() == raw
-    # TWISTCERT_CACHE moved to a new path between calls: the new path is written
-    for name in ("env-a.bin", "env-b.bin"):
-        monkeypatch.setenv("TWISTCERT_CACHE", str(tmp_path / name))
-        assert _quiet_main(capsys, "index") == 0
-        assert _sha256(tmp_path / name) == PARENT_CACHE_SHA256
+    # a file that holds the export bytes is not replaced, nor written to
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    before = os.stat(path)
+    for argv in (["index"], ["membership", v14, "--genus", "2"]):
+        assert _quiet_main(capsys, *argv, "--cache", path) == 0
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (before.st_ino, 10 ** 9, 60)
 
 
 def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, closure_table):
-    monkeypatch.delenv("TWISTCERT_CACHE", raising=False)
     built = Counter()
 
     def counting(name, fn):
@@ -732,11 +740,6 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
     build = congruence._closure_certificate.__wrapped__
     monkeypatch.setattr(congruence, "_closure_certificate",
                         lru_cache(maxsize=None)(counting("certificate", build)))
-    export = cached_property(counting("export", ClosureTable._export_bytes.func))
-    export.__set_name__(ClosureTable, "_export_bytes")
-    monkeypatch.setattr(ClosureTable, "_export_bytes", export)
-    monkeypatch.setattr(congruence, "_keys_increase",
-                        counting("scan", congruence._keys_increase))
 
     c1 = write_matrix(tmp_path, twist_gen("C", 1, 2), "c1.txt")
     v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
@@ -754,9 +757,7 @@ def test_closure_pieces_built_once_per_process(capsys, tmp_path, monkeypatch, cl
         (["index", "--cache", existing], 0),
     ]
     assert [_quiet_main(capsys, *argv) for argv, _ in ops] == [code for _, code in ops]
-    # every file read here is one this process wrote: it equals the export
-    # bytes, so none is scanned
-    assert built == {"certificate": 1, "export": 1}
+    assert built == {"certificate": 1}
 
     table = quotient_closure()
     assert table.basis == build(2).basis
@@ -829,16 +830,15 @@ def test_gamma_index(closure_table):
     assert index <= 2 ** 64
 
 
-def test_library_membership_and_index_leave_the_cache_file_alone(tmp_path, monkeypatch):
-    # only quotient_closure reads or writes the cache file; a library verdict
-    # does not, whatever TWISTCERT_CACHE says
+def test_library_membership_and_index_leave_the_cache_file_alone(tmp_path):
+    # only quotient_closure(cache_path) reads or writes the cache file; a
+    # library verdict does not
     path = tmp_path / "closure.bin"
-    monkeypatch.setenv("TWISTCERT_CACHE", str(path))
     assert membership(twist_gen("C", 1, 2)).verdict == NOT_IN_GAMMA
     assert membership(root_matrix(RootSpec("V", 1, t=4), 2)).verdict == IN_GAMMA
     assert gamma_index() == 20
     assert not path.exists()
-    quotient_closure()
+    quotient_closure(str(path))
     assert path.exists()
 
 
