@@ -74,7 +74,6 @@ from .congruence import (
     eval_gen_word,
     gamma_index,
     membership,
-    mod2_block_test,
     quotient_closure,
     root_matrix,
     synthesize_root,
@@ -99,6 +98,6 @@ __all__ = [
     "CertReport", "PAVerdict", "certify_pa", "certify_report",
     "density_experiment", "pa_failure_reasons", "sample_t_word",
     "ClosureTable", "GenWord", "MembershipVerdict", "RootSpec", "d_matrix",
-    "eval_gen_word", "gamma_index", "membership", "mod2_block_test",
-    "quotient_closure", "root_matrix", "synthesize_root", "verify_identities",
+    "eval_gen_word", "gamma_index", "membership", "quotient_closure",
+    "root_matrix", "synthesize_root", "verify_identities",
 ]

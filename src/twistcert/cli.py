@@ -288,8 +288,8 @@ VERDICT_EXIT = {IN_GAMMA: EXIT_OK, NOT_IN_GAMMA: EXIT_NEGATIVE, UNKNOWN: EXIT_UN
 def cmd_membership(args: argparse.Namespace) -> Outcome:
     matrix = _read_matrix_file(args.matrix_file, args.genus)
     witness = None if args.witness is None else _input(parse_gen_word, args.witness, args.genus)
-    if args.genus == 2:
-        _input(quotient_closure, args.cache)  # a cache error exits 2 before any verdict
+    if args.cache:  # a cache error exits 2 before any verdict
+        _input(quotient_closure, args.cache, args.genus)
     result = _input(membership, matrix, witness)
     payload = {"verdict": result.verdict, "detail": result.detail}
     lines = [f"verdict: {result.verdict} ({result.detail})"]

@@ -1,9 +1,9 @@
 """The subgroup generated by the twist matrices A_i^{+-1}, B_i^{+-1},
 C_i^{+-2}: root-subgroup matrices, machine verification of the generation
-identities, constructive word synthesis, the mod-2 block obstruction, the
-image mod 4 at any genus g as per-block lift words and the F_2 span of the
-relator layer, over keys with entry (i, c) in bits 2(2g i + c), a byte per row
-at g = 2, and the exact genus-2 membership and index.
+identities, constructive word synthesis, the image mod 4 at any genus g as
+per-block lift words and the F_2 span of the relator layer, over keys with
+entry (i, c) in bits 2(2g i + c), a byte per row at g = 2, membership (one
+sequence at every genus, exact at genus 2) and the genus-2 index.
 
 Generator words evaluate in literal (written) product order, unlike twist
 words; every synthesized certificate is independently re-checkable by
@@ -513,19 +513,6 @@ def synthesize_root(spec: RootSpec, genus: int) -> GenWord:
 
 
 # ---------------------------------------------------------------------------
-# Mod-2 block obstruction
-# ---------------------------------------------------------------------------
-
-def mod2_block_test(m: SpMatrix) -> bool:
-    """Necessary condition for membership: the mod-2 reduction, reindexed into
-    the interleaved basis (a_1, b_1, a_2, b_2, ...), is 2x2 block diagonal:
-    t and g + t share a block, so every odd entry (r, c) has r = c mod g."""
-    g = m.genus
-    return all((r - c) % g == 0
-               for r, row in enumerate(m.m.rows) for c, x in enumerate(row) if x % 2)
-
-
-# ---------------------------------------------------------------------------
 # Finite-quotient image (modulus 4)
 # ---------------------------------------------------------------------------
 
@@ -633,23 +620,27 @@ class ClosureTable:
                              len(self.basis))
         return header + b"".join(x.to_bytes(self.genus ** 2, "little") for x in self.basis)
 
-    def contains(self, m: SpMatrix) -> bool:
-        """Each block of m mod 2 must be a class of SL_2(F_2), with m mod 2
-        zero off the blocks, and the layer vector of m r^-1, for the lift r of
-        that class, must sift to zero in the basis."""
+    def refusal(self, m: SpMatrix) -> str | None:
+        """The stage that refuses m, named as a NotInGamma verdict's detail,
+        or None when m mod 4 lies in the image. The mod-2 stage: m mod 2 must
+        be zero off the blocks, and each block a class of SL_2(F_2). The layer
+        stage: the layer vector of m r^-1, for the lift r of that class, must
+        sift to zero in the basis."""
         if m.genus != self.genus:
             raise ValueError("genus mismatch")
         low, off_blocks, blocks = _block_lifts(self.genus)
         key = _mod4_key(m.m.rows)
         h = key & low
-        if h & off_blocks:
-            return False
-        rep = h_inv = 0
-        for mask, lifts in blocks:
-            if (lift := lifts.get(h & mask)) is None:
-                return False
-            rep, h_inv = rep + lift[0], h_inv + lift[1]
-        return _sift(self.basis, _f2_mul(((key ^ rep) >> 1) & low, h_inv, self.genus)) == 0
+        found = [lifts.get(h & mask) for mask, lifts in blocks]
+        if h & off_blocks or None in found:
+            return "mod-2 block obstruction"
+        rep, h_inv = map(sum, zip(*found))
+        if _sift(self.basis, _f2_mul(((key ^ rep) >> 1) & low, h_inv, self.genus)):
+            return "reduction outside the quotient image"
+        return None
+
+    def contains(self, m: SpMatrix) -> bool:
+        return self.refusal(m) is None
 
 
 @lru_cache(maxsize=None)
@@ -691,16 +682,16 @@ def _closure_certificate(genus: int) -> ClosureTable:
     return table
 
 
-def quotient_closure(cache_path: str | None = None) -> ClosureTable:
-    """The image of the subgroup in Sp(4, Z/4) (genus 2, modulus 4), as a
-    layer certificate built once per process from closure_generators(2).
+def quotient_closure(cache_path: str | None = None, genus: int = 2) -> ClosureTable:
+    """The image of the subgroup in Sp(2g, Z/4), as the layer certificate
+    built once per process and genus from closure_generators(genus).
 
     cache_path names a file the certificate is exported to. The file is
     left as it was when its bytes equal the export bytes, and is otherwise
     written; nothing read from it is used. OSError says which path could not
     be used. This is the one function that touches the cache file.
     """
-    table = _closure_certificate(2)
+    table = _closure_certificate(genus)
     if cache_path:
         try:
             _store_closure_cache(cache_path, table._export_bytes)
@@ -774,13 +765,22 @@ def _match_root_pattern(m: SpMatrix) -> RootSpec | None:
 
 
 def membership(m: SpMatrix, witness: GenWord | None = None) -> MembershipVerdict:
-    """Decide membership in the generated subgroup, at the genus of m.
+    """Decide membership in the generated subgroup, at the genus g of m, by
+    one sequence at every genus:
 
-    Genus 2 is exact via the layer certificate of the image mod 4; the cache
-    file is not read or written. For genus >= 3 the verdict is NotInGamma on a
-    mod-2 block obstruction, InGamma when a witness word is supplied or
-    synthesized (identity, single generators, root elements with exponent a
-    multiple of 2^(g-1)), Unknown otherwise.
+    1. a supplied witness is multiplied out: InGamma if it gives m, else
+       ValueError;
+    2. the image mod 4 refuses m (`ClosureTable.refusal`): NotInGamma, with
+       the refusing stage as the detail;
+    3. at g = 2 the subgroup contains Gamma(4), so the image mod 4 is exact:
+       InGamma;
+    4. the identity, a single generator or its inverse, and a root element
+       with exponent a multiple of 2^(g-1) are InGamma with a word;
+    5. otherwise Unknown.
+
+    The certificate is built on the first call at each genus and kept for
+    the process; from genus 16 on, that build is most of the first call's
+    time. The cache file is not read or written.
     """
     g = m.genus
     if witness is not None:
@@ -789,12 +789,10 @@ def membership(m: SpMatrix, witness: GenWord | None = None) -> MembershipVerdict
         if eval_gen_word(witness) == m:
             return MembershipVerdict(IN_GAMMA, witness, "verified supplied witness")
         raise ValueError("supplied witness does not evaluate to the matrix")
-    if g == 2:
-        if _closure_certificate(2).contains(m):
-            return MembershipVerdict(IN_GAMMA, None, "reduction lies in the quotient image")
-        return MembershipVerdict(NOT_IN_GAMMA, None, "reduction outside the quotient image")
-    if not mod2_block_test(m):
-        return MembershipVerdict(NOT_IN_GAMMA, None, "mod-2 block obstruction")
+    if refused := _closure_certificate(g).refusal(m):
+        return MembershipVerdict(NOT_IN_GAMMA, None, refused)
+    if g == 2:                          # Gamma contains Gamma(4): the image mod 4 is exact
+        return MembershipVerdict(IN_GAMMA, None, "reduction lies in the quotient image")
     if m.m.is_identity():
         return MembershipVerdict(IN_GAMMA, GenWord(g, ()), "identity")
     for letter, gen in zip(_closure_letters(g), closure_generators(g)):

@@ -1,6 +1,7 @@
 """Test-only matrix helpers: entrywise sums and scalings of `IntMatrix`
 values, matrices over Z/qZ for q a power of two with their canonical packed
-encoding, and the mod-2 block test in its interleaved-basis form.
+encoding, and the mod-2 block test in two forms: by indices mod g, and in
+the interleaved basis.
 
 The package packs genus-2 matrices mod 4 itself (`congruence._mod4_key`);
 `ModMatrix` products and `packed_word` are the independent reference the
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from twistcert.matrices import IntMatrix
+from twistcert.matrices import IntMatrix, SpMatrix
 
 
 def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -87,6 +88,15 @@ def reduce_mod(m: IntMatrix, q: int) -> ModMatrix:
     if not _is_power_of_two(q):
         raise ValueError(f"modulus must be a power of two >= 2, got {q}")
     return ModMatrix(m.rows, q)
+
+
+def mod2_block_test(m: SpMatrix) -> bool:
+    """Necessary condition for membership: the mod-2 reduction, reindexed into
+    the interleaved basis (a_1, b_1, a_2, b_2, ...), is 2x2 block diagonal:
+    t and g + t share a block, so every odd entry (r, c) has r = c mod g."""
+    g = m.genus
+    return all((r - c) % g == 0
+               for r, row in enumerate(m.m.rows) for c, x in enumerate(row) if x % 2)
 
 
 def mod2_block_test_interleaved(m, genus):

@@ -14,7 +14,6 @@ from twistcert.congruence import (
     eval_gen_word,
     gamma_index,
     membership,
-    mod2_block_test,
     quotient_closure,
     root_matrix,
     sp_group_order_mod,
@@ -47,6 +46,7 @@ from twistcert.words import (
 
 from brute_force_factor import factor_over_Z_bruteforce
 from layer_oracle import elements, recheck_generator_closed
+from mod_oracle import mod2_block_test
 
 EXAMPLE_WORD = "d1^-2 c1^-2 a1 d1^-2 b2 b1"
 EXAMPLE_MATRIX = ((1, 0, 3, -2), (0, 1, -2, 2), (-1, 0, -2, 2), (0, -1, 2, -1))

@@ -224,6 +224,36 @@ def test_membership_unknown_exit_3(capsys, tmp_path):
     assert payload["verdict"] == "Unknown"
 
 
+def test_genus_three_roots_outside_the_layer_span_exit_1(capsys, tmp_path):
+    # I mod 2 at t = 2, with a layer vector outside the span; at t = 4 each
+    # has a synthesized word
+    for kind, i, j in (("X", 1, 3), ("X", 3, 1), ("Y", 1, 3), ("Z", 1, 3)):
+        for t, code, verdict in ((2, 1, "NotInGamma"), (4, 0, "InGamma")):
+            path = write_matrix(tmp_path, root_matrix(RootSpec(kind, i, j, t), 3))
+            got, payload, err = run_json(capsys, "membership", path, "--genus", "3")
+            assert (got, payload["verdict"], err) == (code, verdict, ""), (kind, i, j, t)
+            if t == 2:
+                assert payload["detail"] == "reduction outside the quotient image"
+                assert "witness" not in payload
+            else:
+                assert payload["detail"] == f"synthesized root word for {kind}{i},{j}^4"
+                assert payload["witness"]
+
+
+def test_membership_cache_at_genus_three(capsys, tmp_path):
+    # the file is the genus-3 certificate that decides the verdict
+    cache = tmp_path / "closure3.bin"
+    x13 = write_matrix(tmp_path, root_matrix(RootSpec("X", 1, 3, 2), 3))
+    code, payload, _ = run_json(capsys, "membership", x13, "--genus", "3", "--cache", str(cache))
+    assert (code, payload["verdict"]) == (1, "NotInGamma")
+    data = cache.read_bytes()
+    assert len(data) == 173
+    magic, version, genus, modulus, rank = struct.unpack_from("<4sIIII", data)
+    assert (magic, version, genus, modulus, rank) == (b"TWCL", 2, 3, 4, 17)
+    basis = tuple(int.from_bytes(data[20 + 9 * k:29 + 9 * k], "little") for k in range(rank))
+    assert basis == congruence._closure_certificate(3).basis
+
+
 def test_membership_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n4 5 6\n")
@@ -248,15 +278,18 @@ def test_index_with_cache(capsys, tmp_path):
     assert json.loads(out2) == payload
 
 
-@pytest.mark.parametrize("caller", ["index", "membership"])
+@pytest.mark.parametrize("caller", ["index", "membership", "membership-genus-3"])
 @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
 def test_unusable_cache_path_is_an_input_error(capsys, tmp_path, caller, kind):
     path = str(tmp_path) if kind == "directory" else os.devnull + "/x"
     if caller == "index":
         argv = ["index", "--cache", path]
-    else:
+    elif caller == "membership":
         v14 = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=4), 2), "v14.txt")
         argv = ["membership", v14, "--genus", "2", "--cache", path]
+    else:
+        x13 = write_matrix(tmp_path, root_matrix(RootSpec("X", 1, 3, 4), 3), "x13.txt")
+        argv = ["membership", x13, "--genus", "3", "--cache", path]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -848,8 +881,8 @@ GOLDEN_SHA256 = {  # name -> (human, json)
                                   "a3f631c25bed56ea4ba3c921f96377d771411a499172ced55b9958cc69922064"),
     "synthesize-too-long": ("601430fa292ad59f5bf9c26dae1a0c851137d6bdc823e8da392ca917b07c17c0",
                             "601430fa292ad59f5bf9c26dae1a0c851137d6bdc823e8da392ca917b07c17c0"),
-    "membership-out": ("5ca739085ab45b91ef1e154bf937999482c914dc765257e9a8cfa75627aebdb2",
-                       "99d598a21a6d0c68443ad5a7b303ff9520880b81f63c6fbe1d17d5a63e7d62d1"),
+    "membership-out": ("b76ae4f1cc330502abb77cdfdd02dad550c8d2130ef5d66d144ac2dbf44a4813",
+                       "37ae5a3017ee8b56d97473a23d63eee51a3f0b34afff2fca62142cb9f213c24b"),
     "membership-in": ("a42a76a6b232a61682f81ed354e0cc553e29c5cc51185a1cc0e53b56ed22c041",
                       "7e56f4acaddfcc0330bd773dd321cc9f160c8093122f0ef66a5ea344ccb0f7d1"),
     "membership-cache": ("a42a76a6b232a61682f81ed354e0cc553e29c5cc51185a1cc0e53b56ed22c041",

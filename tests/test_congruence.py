@@ -29,7 +29,6 @@ from twistcert.congruence import (
     format_gen_word,
     gamma_index,
     membership,
-    mod2_block_test,
     parse_gen_word,
     quotient_closure,
     root_matrix,
@@ -40,7 +39,7 @@ from twistcert.congruence import (
     verify_identities,
 )
 from layer_oracle import bfs_certificate, elements, recheck_generator_closed
-from mod_oracle import mod2_block_test_interleaved, reduce_mod
+from mod_oracle import mod2_block_test, mod2_block_test_interleaved, reduce_mod
 from test_cli import write_matrix
 from test_sparse_paths import unchecked
 from twistcert.cli import main
@@ -243,19 +242,26 @@ def test_synthesize_multiples_and_negatives():
         synthesize_root(RootSpec("Z", 1, 2, t=0), 2)
 
 
+def mod2_refused(m):
+    """The genus-g certificate refuses m at its mod-2 stage."""
+    return congruence._closure_certificate(m.genus).refusal(m) == "mod-2 block obstruction"
+
+
 def test_mod2_block_test_examples():
-    assert mod2_block_test(twist_gen("A", 1, 2))
-    assert not mod2_block_test(twist_gen("C", 1, 2))
-    assert mod2_block_test(twist_gen("C", 1, 2).pow(2))
-    assert mod2_block_test(twist_gen("C", 2, 3).pow(-2))
+    # the certificate's mod-2 stage refuses exactly what the block test does
+    for m, passes in ((twist_gen("A", 1, 2), True), (twist_gen("C", 1, 2), False),
+                      (twist_gen("C", 1, 2).pow(2), True), (twist_gen("C", 2, 3).pow(-2), True)):
+        assert mod2_block_test_interleaved(m, m.genus) == passes
+        assert mod2_refused(m) == (not passes)
 
 
 def test_mod2_block_test_on_gen_words():
     rng = random.Random(79)
     for _ in range(30):
         g = rng.choice((2, 3))
-        w = random_gen_word(rng, g, rng.randint(1, 12))
-        assert mod2_block_test(eval_gen_word(w))
+        m = eval_gen_word(random_gen_word(rng, g, rng.randint(1, 12)))
+        assert mod2_block_test_interleaved(m, g)
+        assert not mod2_refused(m)
 
 
 def test_mod2_block_test_matches_interleaved_oracle():
@@ -267,18 +273,23 @@ def test_mod2_block_test_matches_interleaved_oracle():
         obstructed = [twist_gen("C", i, g).pow(k) for i in range(1, g) for k in (1, 3, -1)]
         obstructed += [member @ c for member, c in zip(members, obstructed)]
         for m in members + obstructed:
-            assert mod2_block_test(m) == mod2_block_test_interleaved(m, g)
-        assert all(mod2_block_test(m) for m in members)
-        assert not any(mod2_block_test(m) for m in obstructed)
+            assert mod2_refused(m) == (not mod2_block_test_interleaved(m, g))
+        assert not any(map(mod2_refused, members))
+        assert all(map(mod2_refused, obstructed))
         # one odd (or even) entry at every position: off the 2x2 blocks of
-        # the interleaved basis an odd entry obstructs, on them nothing does
+        # the interleaved basis an odd entry obstructs, on them nothing does,
+        # except an odd x on the diagonal: its 1 + x is even, so the block is
+        # singular mod 2 and the matrix not symplectic, and the mod-2 stage
+        # refuses it too
         for r in range(1, 2 * g + 1):
             for c in range(1, 2 * g + 1):
                 for x in (1, -3, 2):
                     m = unchecked(g, {(r, c): x})
-                    assert mod2_block_test(m) == mod2_block_test_interleaved(m, g), (r, c, x)
-        assert not mod2_block_test(unchecked(g, {(1, 2): 1}))
-        assert mod2_block_test(unchecked(g, {(2, g + 2): 1}))
+                    singular = r == c and x % 2 == 1
+                    assert mod2_refused(m) == (singular or not mod2_block_test_interleaved(m, g)), \
+                        (r, c, x)
+        assert mod2_refused(unchecked(g, {(1, 2): 1}))
+        assert not mod2_refused(unchecked(g, {(2, g + 2): 1}))
 
 
 def test_sp_group_orders():
@@ -412,8 +423,9 @@ def test_layer_certificate_beyond_genus_two(genus):
         # t = 4 have synthesized words, so they lie inside
         for kind, i, j in (("X", 1, 3), ("X", 3, 1), ("Y", 1, 3), ("Z", 1, 3)):
             root = root_matrix(RootSpec(kind, i, j, 2), 3)
-            assert not table.contains(root)
-            assert membership(root).verdict == UNKNOWN
+            assert table.refusal(root) == "reduction outside the quotient image"
+            assert membership(root) == congruence.MembershipVerdict(
+                NOT_IN_GAMMA, None, "reduction outside the quotient image")
             assert table.contains(root_matrix(RootSpec(kind, i, j, 4), 3))
 
 
@@ -447,6 +459,8 @@ def test_relator_layer_matches_the_bfs_oracle(genus):
                  for t in (2, 4)]
     verdicts = [table.contains(m) for m in mats]
     assert verdicts == [oracle.contains(m) for m in mats]
+    refused = [membership(m).verdict == NOT_IN_GAMMA for m in mats]
+    assert refused == [not oracle.contains(m) for m in mats]
     assert all(verdicts[:120:3])                 # the seeded words themselves
     # at genus 2 the image is the whole preimage of H_2 (index 720 / 36 = 20);
     # above it, some products with a root element leave the layer span
@@ -660,12 +674,15 @@ def test_membership_witness_check_survives_optimize():
     script = textwrap.dedent("""
         import twistcert.congruence as c
         from twistcert.matrices import SpMatrix
+        c._closure_certificate(3)      # built from the true generators, then patched
         c.eval_gen_word = lambda word: SpMatrix.identity(word.genus)
         root = c.root_matrix(c.RootSpec("Z", 1, 3, t=4), 3)
         try:
             verdict = c.membership(root)
-        except ArithmeticError:
-            raise SystemExit(0)
+        except ArithmeticError as exc:
+            if str(exc) == "synthesized word for Z1,3^4 does not evaluate to the matrix":
+                raise SystemExit(0)
+            raise
         raise SystemExit(f"membership returned {verdict.verdict}")
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
