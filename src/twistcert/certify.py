@@ -15,7 +15,7 @@ from .polynomials import (
     IntPoly,
     charpoly,
     check_symplectic_charpoly,
-    cyclotomic_index,
+    cyclotomic_factor_indices,
     factor_over_Z,
     is_polynomial_in_x_power,
     is_polynomial_in_x_squared,
@@ -73,7 +73,7 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
     reasons = set()
     if not symplectically_irreducible_factors(factors):
         reasons.add(REASON_NOT_SYMPL_IRRED)
-    if all(cyclotomic_index(f) is not None for f in factors):
+    if cyclotomic_factor_indices(factors) is not None:
         reasons.add(REASON_CYCLOTOMIC)
     if is_polynomial_in_x_squared(chi):
         reasons.add(REASON_X_SQUARED)

@@ -171,23 +171,15 @@ def _delta_mul(a: Delta, b: Delta) -> Delta:
 
 
 def _delta_inverse(a: Delta, genus: int) -> Delta:
-    """(I + A)^-1 - I = -J A^T J = J A^T J^-1 for I + A symplectic."""
-    return _delta_conjugate_by_form(a, genus, transpose=True)
-
-
-def _delta_conjugate_by_form(a: Delta, genus: int, transpose: bool = False) -> Delta:
-    """J A J^-1, or J A^T J^-1 with transpose: entry (r, c) moves to (r', c'),
-    or to (c', r'), where x' swaps the halves (x +- g), and changes sign when
-    r and c lie in different halves."""
+    """(I + A)^-1 - I = -J A^T J = J A^T J^-1 for I + A symplectic: entry
+    (r, c) moves to (c', r'), where x' swaps the halves (x +- g), and changes
+    sign when r and c lie in different halves."""
     n = 2 * genus
     out: Delta = {}
     for r, row in a.items():
         for c, x in row.items():
             flip = (r < genus) != (c < genus)
-            r2, c2 = (r + genus) % n, (c + genus) % n
-            if transpose:
-                r2, c2 = c2, r2
-            out.setdefault(r2, {})[c2] = -x if flip else x
+            out.setdefault((c + genus) % n, {})[(r + genus) % n] = -x if flip else x
     return out
 
 
@@ -285,17 +277,10 @@ def verify_identities(genus: int) -> IdentityReport:
     theta = _delta(eval_gen_word(_theta_word(g)))
     form = _delta(SpMatrix(symplectic_form(g)))
     check("rotations_give_form_matrix", theta, form)
-    by_form = theta == form  # then conjugation by theta permutes entries
     theta_inv = inv(theta)
-
-    def conjugate(a: Delta) -> Delta:
-        if by_form:
-            return _delta_conjugate_by_form(a, g)
-        return _delta_mul(_delta_mul(theta, a), theta_inv)
-
     for jj in range(1, g + 1):
         for kk in range(jj + 1, g + 1):
-            lhs = conjugate(inv(root("Z", jj, kk)))
+            lhs = _delta_mul(_delta_mul(theta, inv(root("Z", jj, kk))), theta_inv)
             check(f"y_from_z_conjugation[j={jj},k={kk}]", lhs, root("Y", jj, kk))
     for i in range(1, g + 1):
         # e_i -> -e_{g+i}, e_{g+i} -> e_i: the two diagonal 1s cleared
@@ -775,7 +760,8 @@ def membership(m: SpMatrix, witness: GenWord | None = None) -> MembershipVerdict
     3. at g = 2 the subgroup contains Gamma(4), so the image mod 4 is exact:
        InGamma;
     4. the identity, a single generator or its inverse, and a root element
-       with exponent a multiple of 2^(g-1) are InGamma with a word;
+       that `synthesize_root` writes as a word (V and W at any exponent, X,
+       Y and Z at a multiple of 2^(g-1)) are InGamma with that word;
     5. otherwise Unknown.
 
     The certificate is built on the first call at each genus and kept for
@@ -800,7 +786,7 @@ def membership(m: SpMatrix, witness: GenWord | None = None) -> MembershipVerdict
             detail = "generator" if letter[2] > 0 else "generator inverse"
             return MembershipVerdict(IN_GAMMA, GenWord(g, (letter,)), detail)
     spec = _match_root_pattern(m)
-    if spec is not None and spec.t % (2 ** (g - 1)) == 0:
+    if spec is not None and (spec.kind in ("V", "W") or spec.t % 2 ** (g - 1) == 0):
         word = synthesize_root(spec, g)
         if eval_gen_word(word) != m:
             raise ArithmeticError(f"synthesized word for {spec} does not evaluate to the matrix")

@@ -252,16 +252,18 @@ def cyclotomic_index(f: IntPoly) -> int | None:
     return next((n for n in _orders_of_degree(f.degree) if cyclotomic_polynomial(n) == f), None)
 
 
-def cyclotomic_factor_indices(p: IntPoly) -> list[int] | None:
-    """Sorted indices n (with multiplicity) such that p = prod Phi_n, or
-    None: p is such a product iff each of its irreducible factors is a Phi_n."""
-    indices = [cyclotomic_index(f) for f in factor_over_Z(p)]
+def cyclotomic_factor_indices(factors: tuple[IntPoly, ...]) -> list[int] | None:
+    """For the irreducible factors of a polynomial, as `factor_over_Z`
+    returns them: the sorted n with each factor Phi_n, or None when a factor
+    is no Phi_n. The polynomial is a product of cyclotomics iff this is not
+    None."""
+    indices = [cyclotomic_index(f) for f in factors]
     return None if None in indices else sorted(indices)
 
 
 def is_cyclotomic_product(p: IntPoly) -> bool:
     """True iff p is a (possibly repeated) product of cyclotomic polynomials."""
-    return cyclotomic_factor_indices(p) is not None
+    return cyclotomic_factor_indices(factor_over_Z(p)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Integer homology calculus on the boundary torus of a blown-up periodic
-orbit: meridian/longitude classes, twist numbers, the surgery-index vs
-twist-order equivalence table, the block surgery planner and the monodromy
-composer.
+orbit: meridian/longitude classes, twist numbers, the twist order read off
+the new meridian, the block surgery planner and the monodromy composer.
 
 Classes on the torus are written in a (meridian, longitude) basis; the basis
 tag records whether the longitude coefficient refers to the stable longitude
@@ -24,10 +23,6 @@ SURFACE = "surface"
 
 PHASE_ZERO = "0"
 PHASE_3PI2 = "3pi/2"
-
-# (twist, index k) pairs admitting a fibration-preserving equivalence with a
-# Dehn twist of order -k; twist 0 admits every k with order k.
-_TWISTED_CASES = {(1, 2), (-1, -2), (2, 1), (-2, -1)}
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,6 @@ class TwistOrderRejection(ValueError):
         self.index_k = index_k
 
 
-def dehn_fried_equivalent_twist_order(twist: int, index_k: int) -> int:
-    """Dehn-twist order equivalent to the index-k surgery on an orbit with the
-    given twist number: any k at twist 0 (order k); exactly the four twisted
-    cases (1,2), (-1,-2), (2,1), (-2,-1) otherwise (order -k)."""
-    if twist == 0:
-        return index_k
-    if (twist, index_k) in _TWISTED_CASES:
-        return -index_k
-    raise TwistOrderRejection(twist, index_k)
-
-
 def stable_longitude_in_surface_basis(twist: int) -> TorusClass:
     """The stable longitude written in the (meridian, surface longitude)
     basis: (-twist, 1)."""
@@ -90,7 +74,20 @@ def stable_longitude_in_surface_basis(twist: int) -> TorusClass:
 def new_meridian_class(twist: int, index_k: int) -> TorusClass:
     """Post-surgery meridian mu + k*lambda_stable, rewritten in the surface
     basis as (1 - k*twist, k) and sign-normalized."""
-    return TorusClass(1 - index_k * twist, index_k, SURFACE).normalized()
+    stable = stable_longitude_in_surface_basis(twist)
+    return TorusClass(1 + index_k * stable.mu, index_k * stable.lam, SURFACE).normalized()
+
+
+def dehn_fried_equivalent_twist_order(twist: int, index_k: int) -> int:
+    """Dehn-twist order equivalent to the index-k surgery on an orbit with the
+    given twist number: the surgery keeps the fibration iff its new meridian
+    is (1, l) in the surface basis, and l is the order. That is any k at
+    twist 0 (order k), and k*twist = 2 otherwise (order -k); a twisted orbit
+    with k = 0 has no surgery to compare and is refused."""
+    meridian = new_meridian_class(twist, index_k)
+    if meridian.mu != 1 or (twist != 0 and index_k == 0):
+        raise TwistOrderRejection(twist, index_k)
+    return meridian.lam
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,9 @@ class OrbitSpec:
 
 @dataclass(frozen=True)
 class SurgeryOp:
-    """One surgery: orbit, index k, and the induced twist order l; the
-    triple (twist, k, l) must satisfy the equivalence table."""
+    """One surgery: orbit, index k, and the induced twist order l, which
+    must be the order `dehn_fried_equivalent_twist_order` reads off the new
+    meridian."""
 
     orbit: OrbitSpec
     index_k: int
@@ -174,9 +172,8 @@ def plan_from_T_word(dec: TDecomposition) -> SurgeryPlan:
             for index, e in enumerate(exponents, start=1):
                 if e:
                     orbit = OrbitSpec(CurveLetter(kind, index), s, phase)
-                    twist = orbit.twist
-                    k = e if twist == 0 else -e     # order l = e: k = l, or -l if twisted
-                    group.append(SurgeryOp(orbit, k, dehn_fried_equivalent_twist_order(twist, k)))
+                    k = -e if orbit.twist else e    # order l = e: k = l, or -l if twisted
+                    group.append(SurgeryOp(orbit, k, e))
         groups.append(tuple(group))
     return SurgeryPlan(dec.genus, tuple(groups))
 

@@ -220,9 +220,10 @@ class TBlock:
 
     def letters(self) -> tuple[tuple[CurveLetter, int], ...]:
         """The block in canonical order: d-part, b-part, c-part, a-part."""
-        parts = (("d", (-2,) * (self.genus - 1)), ("b", self.q), ("c", self.r), ("a", self.p))
-        return tuple((CurveLetter(kind, index), exponent) for kind, exponents in parts
-                     for index, exponent in enumerate(exponents, start=1) if exponent)
+        parts = (("b", self.q), ("c", self.r), ("a", self.p))
+        return hat_tau_d_word(self.genus).letters + tuple(
+            (CurveLetter(kind, index), exponent) for kind, exponents in parts
+            for index, exponent in enumerate(exponents, start=1) if exponent)
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,10 @@ def _exponents(part: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(part.get(i, 0) for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def hat_tau_d_word(genus: int) -> TwistWord:
-    """The base word d1^-2 ... d(g-1)^-2 (acts trivially on homology)."""
+    """The base word d1^-2 ... d(g-1)^-2 (acts trivially on homology), the
+    d-part of every block. Built once per genus; TwistWord is immutable."""
     return TwistWord(genus, tuple(
         (CurveLetter("d", l), -2) for l in range(1, genus)
     ))

@@ -215,6 +215,16 @@ def test_witness_length_bound(capsys, tmp_path):
     assert err == "error: word of 65537 letters exceeds the bound 65536\n"
 
 
+def test_membership_v_power_past_the_word_bound_exits_2(capsys, tmp_path):
+    # V1^t is synthesized as t letters A1, so an odd t past the bound is
+    # refused like the multiples of 2^(g-1) are
+    for t in (MAX_WORD_LETTERS + 1, MAX_WORD_LETTERS + 4):
+        path = write_matrix(tmp_path, root_matrix(RootSpec("V", 1, t=t), 3), "v.txt")
+        code, out, err = run_cli(capsys, "membership", path, "--genus", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: word of {t} letters exceeds the bound {MAX_WORD_LETTERS}\n"
+
+
 def test_membership_unknown_exit_3(capsys, tmp_path):
     from twistcert.congruence import eval_gen_word, parse_gen_word
     mystery = eval_gen_word(parse_gen_word("A1 B2 A1 C1^2 B3^-1", 3))
@@ -558,10 +568,13 @@ def test_matrix_file_entries_are_ascii_integers(capsys, tmp_path):
 def test_long_matrix_file_is_refused_in_bounded_memory(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_bytes(b"1 0 0 0\n" * 4_000_000)                  # 32 MB
-    script = ("import resource, sys\n"
+    # the child reports its own peak (VmHWM): ru_maxrss on Linux keeps the
+    # peak of the forked pytest process across exec
+    script = ("import re, sys\n"
               "from twistcert.cli import main\n"
               "code = main(['membership', sys.argv[1], '--genus', '2'])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+              "status = open('/proc/self/status').read()\n"
+              "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                             capture_output=True, text=True, timeout=120)

@@ -824,9 +824,26 @@ def test_membership_genus_three_paths():
     # block-diagonal mod 2 but not a recognizable root element or generator
     mystery = eval_gen_word(parse_gen_word("A1 B2 A1 C1^2 B3^-1", 3))
     assert membership(mystery).verdict == UNKNOWN
-    # root element with exponent not a multiple of 2^(g-1) stays unknown
+    # a Z root element with exponent not a multiple of 2^(g-1) stays unknown
     small_root = root_matrix(RootSpec("Z", 1, 2, t=2), 3)
     assert membership(small_root).verdict == UNKNOWN
+
+
+@pytest.mark.parametrize("genus", [3, 4])
+def test_membership_synthesizes_v_and_w_at_every_exponent(genus):
+    # synthesize_root writes V_i^t and W_i^t at every t, so step 4 accepts
+    # them at every t, not only at the multiples of 2^(g-1)
+    for kind in "VW":
+        for i in (1, genus):
+            for t in (2, 3, -3, 5):
+                m = root_matrix(RootSpec(kind, i, t=t), genus)
+                verdict = membership(m)
+                assert verdict.verdict == IN_GAMMA, (kind, i, t)
+                assert verdict.detail == f"synthesized root word for {kind}{i}^{t}"
+                assert eval_gen_word(verdict.witness) == m
+    # V_i^1 is A_i itself and stays a generator
+    assert membership(root_matrix(RootSpec("V", 1), genus)).detail == "generator"
+    assert membership(root_matrix(RootSpec("Z", 1, 2, t=2), genus)).verdict == UNKNOWN
 
 
 def test_membership_conjugation_not_invariant(closure_table):

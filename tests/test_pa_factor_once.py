@@ -25,6 +25,7 @@ from twistcert.polynomials import (
     cyclotomic_polynomial,
     euler_phi,
     factor_over_Z,
+    is_cyclotomic_product,
     is_polynomial_in_x_power,
     is_polynomial_in_x_squared,
     is_reciprocal,
@@ -160,13 +161,15 @@ def test_pa_reasons_match_reference(family):
             assert pa_failure_reasons(chi, strict) == expected, (str(chi), strict)
             seen |= expected
         assert is_symplectically_irreducible(chi) == oracle_symplectically_irreducible(factors)
-        assert cyclotomic_factor_indices(chi) == oracle_cyclotomic_indices(chi)
+        assert cyclotomic_factor_indices(factors) == oracle_cyclotomic_indices(chi)
     # each family reaches every reason, so the comparison is not vacuous
     assert seen == {REASON_CYCLOTOMIC, REASON_NOT_SYMPL_IRRED, REASON_REDUCIBLE,
                     REASON_X_SQUARED}
 
 
 def test_cyclotomic_indices_share_the_factoring_bound():
-    assert cyclotomic_factor_indices(math.prod([cyclotomic_polynomial(1)] * 64, start=ONE)) == [1] * 64
+    phi_1_64 = math.prod([cyclotomic_polynomial(1)] * 64, start=ONE)
+    assert cyclotomic_factor_indices(factor_over_Z(phi_1_64)) == [1] * 64
+    assert is_cyclotomic_product(phi_1_64)
     with pytest.raises(ValueError):
-        cyclotomic_factor_indices(math.prod([cyclotomic_polynomial(1)] * 65, start=ONE))
+        is_cyclotomic_product(phi_1_64 * cyclotomic_polynomial(1))

@@ -155,7 +155,7 @@ def test_cyclotomic_indices_radical_divides_x_n_minus_1():
         p = ONE
         for n in indices:
             p = p * cyclotomic_polynomial(n)
-        matched = cyclotomic_factor_indices(p)
+        matched = cyclotomic_factor_indices(factor_over_Z(p))
         assert matched is not None
         assert sorted(matched) == sorted(indices)
         big_n = math.lcm(*matched)

@@ -15,7 +15,6 @@ from twistcert.congruence import (
     GenWord,
     RootSpec,
     _delta,
-    _delta_conjugate_by_form,
     _delta_inverse,
     _delta_mul,
     _match_root_pattern,
@@ -169,19 +168,25 @@ def test_verify_identities_matches_dense_oracle(genus):
 
 
 def test_conjugation_by_form_matches_delta_mul():
+    # the inverse of a symplectic I + A is I + J A^T J^-1
     for g in range(2, 9):
         form = _delta(SpMatrix(symplectic_form(g)))
         form_inv = _delta_inverse(form, g)
         for j in range(1, g + 1):
             for k in range(j + 1, g + 1):
-                z_inv = _delta_inverse(congruence._root_delta(RootSpec("Z", j, k), g), g)
-                assert _delta_conjugate_by_form(z_inv, g) == \
-                    _delta_mul(_delta_mul(form, z_inv), form_inv)
+                for kind in "XYZ":
+                    a = congruence._root_delta(RootSpec(kind, j, k), g)
+                    a_t: dict = {}
+                    for r, row in a.items():
+                        for c, x in row.items():
+                            a_t.setdefault(c, {})[r] = x
+                    assert _delta_inverse(a, g) == \
+                        _delta_mul(_delta_mul(form, a_t), form_inv)
 
 
 def test_theta_other_than_the_form_keeps_the_product_path(monkeypatch):
-    # theta^2 = -I fails the rotation identity, so the conjugations fall back
-    # to products with it and report their dense differences like the oracle
+    # theta^2 = -I fails the rotation identity, so the conjugations by it
+    # report their dense differences like the oracle
     real = congruence._theta_word
 
     def theta_word(g):
@@ -189,15 +194,7 @@ def test_theta_other_than_the_form_keeps_the_product_path(monkeypatch):
 
     monkeypatch.setattr(congruence, "_theta_word", theta_word)
     monkeypatch.setattr(dense_oracles, "_theta_word", theta_word)
-    conjugate, plain = congruence._delta_conjugate_by_form, []
-
-    def spy(a, genus, transpose=False):
-        plain.append(not transpose)
-        return conjugate(a, genus, transpose)
-
-    monkeypatch.setattr(congruence, "_delta_conjugate_by_form", spy)
     report = verify_identities(3)
-    assert plain and not any(plain)  # inverses only, no conjugation by J
     failing = {c.name for c in report.failures()}
     assert "rotations_give_form_matrix" in failing
     assert {f"y_from_z_conjugation[j={j},k={k}]" for j, k in ((1, 2), (1, 3), (2, 3))} < failing
