@@ -25,7 +25,6 @@ from .polynomials import (
     cyclotomic_polynomial,
     factor_over_Z,
     is_cyclotomic_product,
-    is_polynomial_in_x_squared,
     is_reciprocal,
     is_symplectically_irreducible,
 )
@@ -44,7 +43,6 @@ from .words import (
     validate_family_T,
 )
 from .surgery import (
-    OrbitSpec,
     SurgeryOp,
     SurgeryPlan,
     TorusClass,
@@ -85,13 +83,11 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix", "SpMatrix", "det", "mat_mul", "sp_check", "symplectic_form",
     "IntPoly", "charpoly", "cyclotomic_polynomial", "factor_over_Z",
-    "is_cyclotomic_product",
-    "is_polynomial_in_x_squared", "is_reciprocal",
-    "is_symplectically_irreducible",
+    "is_cyclotomic_product", "is_reciprocal", "is_symplectically_irreducible",
     "CurveLetter", "FamilyRejection", "TBlock", "TDecomposition", "TwistWord",
     "WordSyntaxError", "eval_word", "format_word", "generator_matrix",
     "hat_tau_d_word", "parse_word", "validate_family_T",
-    "OrbitSpec", "SurgeryOp", "SurgeryPlan", "TorusClass",
+    "SurgeryOp", "SurgeryPlan", "TorusClass",
     "TwistOrderRejection", "dehn_fried_equivalent_twist_order",
     "monodromy_from_plan", "new_meridian_class", "plan_from_T_word",
     "stable_longitude_in_surface_basis", "twist_of_orbit",

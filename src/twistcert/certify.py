@@ -18,7 +18,6 @@ from .polynomials import (
     cyclotomic_factor_indices,
     factor_over_Z,
     is_polynomial_in_x_power,
-    is_polynomial_in_x_squared,
     symplectically_irreducible_factors,
 )
 from .words import (
@@ -41,18 +40,17 @@ REASON_NOT_SYMPL_IRRED = "not_symplectically_irreducible"
 
 @dataclass(frozen=True)
 class PAVerdict:
-    status: str
-    reasons: frozenset[str]
+    """The failing checks of the PA criterion; certified iff there are none."""
 
-    def __post_init__(self) -> None:
-        if self.status == CERTIFIED_PA and self.reasons:
-            raise ValueError("a certified verdict carries no reasons")
-        if self.status == INCONCLUSIVE and not self.reasons:
-            raise ValueError("an inconclusive verdict needs at least one reason")
+    reasons: frozenset[str]
 
     @property
     def certified(self) -> bool:
-        return self.status == CERTIFIED_PA
+        return not self.reasons
+
+    @property
+    def status(self) -> str:
+        return CERTIFIED_PA if self.certified else INCONCLUSIVE
 
     def sorted_reasons(self) -> list[str]:
         return sorted(self.reasons)
@@ -63,10 +61,10 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
     polynomial: empty iff chi is symplectically irreducible, not a product of
     cyclotomics, and not a polynomial in x^2.
 
-    strict_power_mode additionally rejects polynomials in x^k for any k >= 2
-    (the base criterion tests only x^2). Reducibility over Z is reported as a
-    diagnostic alongside a failure, never on its own. Every reason is read
-    off one factorization of chi over Z.
+    The default tests the power 2 only; strict_power_mode tests every power
+    k in 2..deg, as Casson-Bleiler (Lemma 5.1) asks. Reducibility over Z is
+    reported as a diagnostic alongside a failure, never on its own. Every
+    reason is read off one factorization of chi over Z.
     """
     check_symplectic_charpoly(chi)
     factors = factor_over_Z(chi)
@@ -75,10 +73,8 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
         reasons.add(REASON_NOT_SYMPL_IRRED)
     if cyclotomic_factor_indices(factors) is not None:
         reasons.add(REASON_CYCLOTOMIC)
-    if is_polynomial_in_x_squared(chi):
-        reasons.add(REASON_X_SQUARED)
-    elif strict_power_mode and any(
-            is_polynomial_in_x_power(chi, k) for k in range(3, chi.degree + 1)):
+    powers = range(2, chi.degree + 1) if strict_power_mode else (2,)
+    if any(is_polynomial_in_x_power(chi, k) for k in powers):
         reasons.add(REASON_X_SQUARED)
     if reasons and len(factors) > 1:
         reasons.add(REASON_REDUCIBLE)
@@ -87,19 +83,13 @@ def pa_failure_reasons(chi: IntPoly, strict_power_mode: bool = False) -> frozens
 
 def certify_pa(m: SpMatrix, strict_power_mode: bool = False) -> PAVerdict:
     """One-sided pseudo-Anosov certificate from the homology action."""
-    return _pa_verdict(charpoly(m), strict_power_mode)
-
-
-def _pa_verdict(chi: IntPoly, strict_power_mode: bool) -> PAVerdict:
-    reasons = pa_failure_reasons(chi, strict_power_mode=strict_power_mode)
-    return PAVerdict(INCONCLUSIVE, reasons) if reasons else PAVerdict(CERTIFIED_PA, frozenset())
+    return PAVerdict(pa_failure_reasons(charpoly(m), strict_power_mode))
 
 
 @dataclass(frozen=True)
 class CertReport:
     """Full certification record for one word."""
 
-    word: TwistWord
     matrix: SpMatrix
     charpoly: IntPoly
     anosov: TDecomposition | FamilyRejection
@@ -120,11 +110,10 @@ def certify_report(word: TwistWord, strict_power_mode: bool = False) -> CertRepo
     chi = charpoly(matrix)
     anosov = validate_family_T(word)
     return CertReport(
-        word=word,
         matrix=matrix,
         charpoly=chi,
         anosov=anosov,
-        pa=_pa_verdict(chi, strict_power_mode),
+        pa=PAVerdict(pa_failure_reasons(chi, strict_power_mode)),
     )
 
 
@@ -145,11 +134,7 @@ def sample_t_word(genus: int, block_count: int, exponent_bound: int,
 
 @dataclass(frozen=True)
 class DensityResult:
-    genus: int
-    block_count: int
     samples: int
-    exponent_bound: int
-    seed: int
     certified: int
     reason_counts: dict[str, int]
 
@@ -180,11 +165,7 @@ def density_experiment(genus: int, block_count: int, samples: int,
         for reason in verdict.sorted_reasons():
             reason_counts[reason] = reason_counts.get(reason, 0) + 1
     return DensityResult(
-        genus=genus,
-        block_count=block_count,
         samples=samples,
-        exponent_bound=exponent_bound,
-        seed=seed,
         certified=certified,
         reason_counts=dict(sorted(reason_counts.items())),
     )

@@ -221,8 +221,8 @@ def cmd_plan(args: argparse.Namespace) -> Outcome:
     for s, group in enumerate(plan.ops, start=1):
         for op in group:
             lines.append(
-                f"  block {s}: orbit {op.orbit.curve} phase {op.orbit.phase} "
-                f"twist {op.orbit.twist} index k={op.index_k} order l={op.order_l}")
+                f"  block {s}: orbit {op.curve} phase {op.phase} "
+                f"twist {op.twist} index k={op.index_k} order l={op.order_l}")
     lines.append(f"monodromy after surgeries: {format_word(reassembled) or '(empty)'}")
     lines.append(f"round trip: {'ok' if round_trip else 'FAILED'}")
     return EXIT_OK, payload, lines
@@ -318,10 +318,10 @@ def cmd_density(args: argparse.Namespace) -> Outcome:
     result = density_experiment(args.genus, args.blocks, args.samples,
                                 args.bound, args.seed)
     payload = {
-        "blocks": result.block_count,
+        "blocks": args.blocks,
         "samples": result.samples,
-        "bound": result.exponent_bound,
-        "seed": result.seed,
+        "bound": args.bound,
+        "seed": args.seed,
         "certified": result.certified,
         "fraction": result.fraction,
         "reason_counts": result.reason_counts,

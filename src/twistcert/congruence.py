@@ -206,15 +206,11 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    genus: int
     checks: tuple[IdentityCheck, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[IdentityCheck]:
-        return [c for c in self.checks if not c.passed]
 
 
 def verify_identities(genus: int) -> IdentityReport:
@@ -291,7 +287,7 @@ def verify_identities(genus: int) -> IdentityReport:
     for i in range(1, g):
         checks.append(_chain_relation_check(i, g))
 
-    return IdentityReport(genus, tuple(checks))
+    return IdentityReport(tuple(checks))
 
 
 def _chain_relation_check(i: int, g: int) -> IdentityCheck:
@@ -623,9 +619,6 @@ class ClosureTable:
         if _sift(self.basis, _f2_mul(((key ^ rep) >> 1) & low, h_inv, self.genus)):
             return "reduction outside the quotient image"
         return None
-
-    def contains(self, m: SpMatrix) -> bool:
-        return self.refusal(m) is None
 
 
 @lru_cache(maxsize=None)

@@ -191,11 +191,6 @@ def is_reciprocal(p: IntPoly) -> bool:
     return p.coeffs == tuple(reversed(p.coeffs))
 
 
-def is_polynomial_in_x_squared(p: IntPoly) -> bool:
-    """True iff every odd-degree coefficient vanishes."""
-    return all(c == 0 for c in p.coeffs[1::2])
-
-
 def is_polynomial_in_x_power(p: IntPoly, k: int) -> bool:
     """True iff p lies in Z[x^k]."""
     if k < 1:

@@ -2,10 +2,10 @@
 orbit: meridian/longitude classes, twist numbers, the twist order read off
 the new meridian, the block surgery planner and the monodromy composer.
 
-Classes on the torus are written in a (meridian, longitude) basis; the basis
-tag records whether the longitude coefficient refers to the stable longitude
-or to the one traced by the fiber surface. Fiber levels are symbolic
-(block index, phase), never floating point.
+Classes on the torus are written in the (meridian, surface longitude) basis,
+the longitude being the one traced by the fiber surface. Fiber levels are
+symbolic (block index, phase), never floating point: an op's block is its
+position in the plan, and its phase is read off its curve.
 """
 from __future__ import annotations
 
@@ -18,31 +18,23 @@ from .words import (
     TwistWord,
 )
 
-STABLE = "stable"
-SURFACE = "surface"
-
 PHASE_ZERO = "0"
 PHASE_3PI2 = "3pi/2"
 
 
 @dataclass(frozen=True)
 class TorusClass:
-    """mu*meridian + lam*longitude, with the longitude basis tagged."""
+    """mu*meridian + lam*surface longitude."""
 
     mu: int
     lam: int
-    basis: str = SURFACE
-
-    def __post_init__(self) -> None:
-        if self.basis not in (STABLE, SURFACE):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
 
     def normalized(self) -> TorusClass:
         """Sign-normalize so the first nonzero coefficient is positive
         (Dehn fillings depend only on the unoriented class)."""
         lead = self.mu if self.mu != 0 else self.lam
         if lead < 0:
-            return TorusClass(-self.mu, -self.lam, self.basis)
+            return TorusClass(-self.mu, -self.lam)
         return self
 
 
@@ -68,14 +60,14 @@ class TwistOrderRejection(ValueError):
 def stable_longitude_in_surface_basis(twist: int) -> TorusClass:
     """The stable longitude written in the (meridian, surface longitude)
     basis: (-twist, 1)."""
-    return TorusClass(-twist, 1, SURFACE)
+    return TorusClass(-twist, 1)
 
 
 def new_meridian_class(twist: int, index_k: int) -> TorusClass:
     """Post-surgery meridian mu + k*lambda_stable, rewritten in the surface
     basis as (1 - k*twist, k) and sign-normalized."""
     stable = stable_longitude_in_surface_basis(twist)
-    return TorusClass(1 + index_k * stable.mu, index_k * stable.lam, SURFACE).normalized()
+    return TorusClass(1 + index_k * stable.mu, index_k * stable.lam).normalized()
 
 
 def dehn_fried_equivalent_twist_order(twist: int, index_k: int) -> int:
@@ -91,65 +83,50 @@ def dehn_fried_equivalent_twist_order(twist: int, index_k: int) -> int:
 
 
 @dataclass(frozen=True)
-class OrbitSpec:
-    """A periodic orbit sitting in a fiber: curve and symbolic fiber level
-    (block index, phase tag). Its twist number is that of its curve."""
+class SurgeryOp:
+    """One surgery on the periodic orbit over a curve: index k, and the
+    induced twist order l, which must be the order
+    `dehn_fried_equivalent_twist_order` reads off the new meridian."""
 
     curve: CurveLetter
-    block: int
-    phase: str
+    index_k: int
+    order_l: int
 
     def __post_init__(self) -> None:
-        if self.curve.kind == "d":
-            raise ValueError("d-orbits are not surgery sites")
-        if self.phase not in (PHASE_ZERO, PHASE_3PI2):
-            raise ValueError(f"unknown phase {self.phase!r}")
-        if self.block < 1:
-            raise ValueError("block index must be >= 1")
+        expected = dehn_fried_equivalent_twist_order(self.twist, self.index_k)
+        if expected != self.order_l:
+            raise ValueError(
+                f"(twist={self.twist}, k={self.index_k}) gives order "
+                f"{expected}, not {self.order_l}")
 
     @property
     def twist(self) -> int:
         return twist_of_orbit(self.curve)
 
-
-@dataclass(frozen=True)
-class SurgeryOp:
-    """One surgery: orbit, index k, and the induced twist order l, which
-    must be the order `dehn_fried_equivalent_twist_order` reads off the new
-    meridian."""
-
-    orbit: OrbitSpec
-    index_k: int
-    order_l: int
-
-    def __post_init__(self) -> None:
-        expected = dehn_fried_equivalent_twist_order(self.orbit.twist, self.index_k)
-        if expected != self.order_l:
-            raise ValueError(
-                f"(twist={self.orbit.twist}, k={self.index_k}) gives order "
-                f"{expected}, not {self.order_l}")
+    @property
+    def phase(self) -> str:
+        """Fiber level of the orbit within its block: b-orbits sit at 3pi/2,
+        a- and c-orbits at 0."""
+        return PHASE_3PI2 if self.curve.kind == "b" else PHASE_ZERO
 
 
 @dataclass(frozen=True)
 class SurgeryPlan:
     """Surgeries grouped by block, one group per copy of the
-    trivial-on-homology d-twist product in the base."""
+    trivial-on-homology d-twist product in the base; block s is ops[s - 1]."""
 
     genus: int
     ops: tuple[tuple[SurgeryOp, ...], ...]
 
     def __post_init__(self) -> None:
         for s, group in enumerate(self.ops, start=1):
-            seen: set[tuple[str, str, int]] = set()
+            seen: set[CurveLetter] = set()
             for op in group:
-                if op.orbit.block != s:
-                    raise ValueError("op filed under the wrong block")
-                if not op.orbit.curve.valid_for(self.genus):
-                    raise ValueError(f"orbit {op.orbit.curve} out of range for genus {self.genus}")
-                key = (op.orbit.phase, op.orbit.curve.kind, op.orbit.curve.index)
-                if key in seen:
-                    raise ValueError(f"duplicate orbit {op.orbit.curve} in block {s}")
-                seen.add(key)
+                if not op.curve.valid_for(self.genus):
+                    raise ValueError(f"orbit {op.curve} out of range for genus {self.genus}")
+                if op.curve in seen:
+                    raise ValueError(f"duplicate orbit {op.curve} in block {s}")
+                seen.add(op.curve)
 
     @property
     def block_count(self) -> int:
@@ -165,15 +142,14 @@ def plan_from_T_word(dec: TDecomposition) -> SurgeryPlan:
     (twist 0), and an index +2 surgery on each c_k orbit with r_k = -2
     (twist +1, order -2)."""
     groups: list[tuple[SurgeryOp, ...]] = []
-    for s, block in enumerate(dec.blocks, start=1):
+    for block in dec.blocks:
         group: list[SurgeryOp] = []
-        for kind, phase, exponents in (("a", PHASE_ZERO, block.p), ("c", PHASE_ZERO, block.r),
-                                       ("b", PHASE_3PI2, block.q)):
+        for kind, exponents in (("a", block.p), ("c", block.r), ("b", block.q)):
             for index, e in enumerate(exponents, start=1):
                 if e:
-                    orbit = OrbitSpec(CurveLetter(kind, index), s, phase)
-                    k = -e if orbit.twist else e    # order l = e: k = l, or -l if twisted
-                    group.append(SurgeryOp(orbit, k, e))
+                    curve = CurveLetter(kind, index)
+                    k = -e if twist_of_orbit(curve) else e    # order l = e: k = l, or -l if twisted
+                    group.append(SurgeryOp(curve, k, e))
         groups.append(tuple(group))
     return SurgeryPlan(dec.genus, tuple(groups))
 
@@ -186,7 +162,7 @@ def monodromy_from_plan(plan: SurgeryPlan) -> TwistWord:
     for group in plan.ops:
         orders = {"a": [0] * g, "b": [0] * g, "c": [0] * (g - 1)}
         for op in group:
-            orders[op.orbit.curve.kind][op.orbit.curve.index - 1] = op.order_l
+            orders[op.curve.kind][op.curve.index - 1] = op.order_l
         blocks.append(TBlock(tuple(orders["a"]), tuple(orders["b"]), tuple(orders["c"])))
     return TDecomposition(tuple(blocks)).reassemble()
 
@@ -200,10 +176,10 @@ def plan_as_json_dict(plan: SurgeryPlan) -> dict:
             {
                 "ops": [
                     {
-                        "curve": str(op.orbit.curve),
-                        "phase": op.orbit.phase,
+                        "curve": str(op.curve),
+                        "phase": op.phase,
                         "k": op.index_k,
-                        "twist": op.orbit.twist,
+                        "twist": op.twist,
                         "l": op.order_l,
                     }
                     for op in group

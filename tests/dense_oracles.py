@@ -123,7 +123,7 @@ def verify_identities_dense(genus):
     for i in range(1, g):
         checks.append(_chain_relation_check(i, g))
 
-    return IdentityReport(genus, tuple(checks))
+    return IdentityReport(tuple(checks))
 
 
 def match_root_pattern_dense(m):

@@ -8,10 +8,7 @@ from twistcert.congruence import (GenWord, RootSpec, d_matrix, d_prime_matrix, m
                                   verify_identities)
 from twistcert.matrices import SpMatrix
 from twistcert.polynomials import IntPoly, _gf_divmod, cyclotomic_polynomial, euler_phi
-from twistcert.surgery import PHASE_ZERO, OrbitSpec
-from twistcert.words import CurveLetter
-
-A1 = CurveLetter("a", 1)
+from twistcert.words import CurveLetter, WordSyntaxError, parse_word
 
 CASES = {
     "membership-witness-genus": (
@@ -34,10 +31,10 @@ CASES = {
     "monic-divmod-non-monic": (lambda: IntPoly((1, 0, 1)).monic_divmod(IntPoly((1, 2))),
                                ValueError, "divisor must be monic"),
     "gf-divmod-zero-divisor": (lambda: _gf_divmod([1, 1], [], 3), ZeroDivisionError, ""),
-    "orbit-phase": (lambda: OrbitSpec(A1, 1, "pi"), ValueError, "unknown phase 'pi'"),
-    "orbit-block": (lambda: OrbitSpec(A1, 0, PHASE_ZERO), ValueError,
-                    "block index must be >= 1"),
     "curve-kind": (lambda: CurveLetter("e", 1), ValueError, "unknown curve kind 'e'"),
+    "curve-index": (lambda: CurveLetter("a", 0), ValueError, "curve index must be >= 1"),
+    "word-index": (lambda: parse_word("b1 a0", 2), WordSyntaxError,
+                   "at offset 3: curve index must be >= 1 in 'a0'"),
 }
 
 

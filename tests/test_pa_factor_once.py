@@ -27,7 +27,6 @@ from twistcert.polynomials import (
     factor_over_Z,
     is_cyclotomic_product,
     is_polynomial_in_x_power,
-    is_polynomial_in_x_squared,
     is_reciprocal,
     is_symplectically_irreducible,
 )
@@ -86,7 +85,7 @@ def oracle_pa_failure_reasons(chi: IntPoly, factors, strict_power_mode: bool) ->
         reasons.add(REASON_NOT_SYMPL_IRRED)
     if oracle_cyclotomic_indices(chi) is not None:
         reasons.add(REASON_CYCLOTOMIC)
-    if is_polynomial_in_x_squared(chi) or strict_power_mode and any(
+    if all(c == 0 for c in chi.coeffs[1::2]) or strict_power_mode and any(
             is_polynomial_in_x_power(chi, k) for k in range(3, chi.degree + 1)):
         reasons.add(REASON_X_SQUARED)
     if reasons and len(factors) > 1:

@@ -20,7 +20,6 @@ from twistcert.polynomials import (
     factor_over_Z,
     is_cyclotomic_product,
     is_polynomial_in_x_power,
-    is_polynomial_in_x_squared,
     is_reciprocal,
     is_symplectically_irreducible,
 )
@@ -111,9 +110,9 @@ def test_is_reciprocal():
 
 
 def test_is_polynomial_in_x_squared():
-    assert not is_polynomial_in_x_squared(EXAMPLE_CHI)
-    assert is_polynomial_in_x_squared(poly_from_high(1, 0, -3, 0, 1))
-    assert is_polynomial_in_x_squared(ONE)
+    assert not is_polynomial_in_x_power(EXAMPLE_CHI, 2)
+    assert is_polynomial_in_x_power(poly_from_high(1, 0, -3, 0, 1), 2)
+    assert is_polynomial_in_x_power(ONE, 2)
 
 
 def test_is_polynomial_in_x_power():
@@ -274,6 +273,47 @@ def test_cyclotomic_division_check_survives_optimize():
             raise SystemExit(0)
         raise SystemExit(f"cyclotomic_polynomial(3) returned {phi}")
     """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+# A self-check on a result fires only when the code is wrong. Each case
+# injects one fault and expects that check's own ArithmeticError; python -O
+# runs it, so the check must be an explicit raise, not an assert.
+SELF_CHECK_FAULTS = {
+    "factor-product": ("""
+        p._strip_unit_roots = lambda f: (f, [p.IntPoly((-1, 1))])  # a stray x - 1
+        p.factor_over_Z(p.IntPoly((1, -3, 1)))
+        """, "factor product does not reproduce the polynomial"),
+    "charpoly-trace": ("""
+        from twistcert.matrices import IntMatrix
+        class Corrupt(IntMatrix):  # each product gains 1 in its corner entry
+            def __matmul__(self, other):
+                rows = [list(row) for row in IntMatrix.__matmul__(self, other).rows]
+                rows[0][0] += 1
+                return IntMatrix(tuple(map(tuple, rows)))
+        p.charpoly(Corrupt(IntMatrix.identity(4).rows))
+        """, "Faddeev-LeVerrier trace division is not exact"),
+    "lift-bezout": ("p._lift_tree([1, 0, 1], [[1, 1], [1, 1]], 3, 81)",
+                    "lift factors are not coprime mod p"),
+    "gcd-unit-lead": ("p._primitive_gcd(p.IntPoly((1, 2)), p.IntPoly((1, 2)))",
+                      "gcd with a monic polynomial must be monic up to sign"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHECK_FAULTS))
+def test_self_check_catches_injected_fault_under_optimize(name):
+    fault, message = SELF_CHECK_FAULTS[name]
+    script = "\n".join([
+        "import twistcert.polynomials as p",
+        "try:",
+        textwrap.indent(textwrap.dedent(fault).strip(), "    "),
+        "except ArithmeticError as exc:",
+        f"    raise SystemExit(0 if str(exc) == {message!r} else f'another check: {{exc}}')",
+        "raise SystemExit('the fault went unnoticed')",
+    ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)

@@ -3,11 +3,11 @@ README lists as removed is gone, the package does not import the test
 helpers, every module-level function has a use, and the package holds no
 `assert` statement (`python -O` strips them)."""
 import ast
+import importlib
 import pathlib
 import re
 
 import twistcert
-import twistcert.matrices
 from test_traced_names import traced_pairs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -31,11 +31,19 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_stay_removed():
     names = removed_names()
-    assert {"sp_inverse", "factor_over_Z_bruteforce", "ModMatrix", "reduce_mod"} <= set(names)
+    assert {"sp_inverse", "factor_over_Z_bruteforce", "ModMatrix", "reduce_mod", "OrbitSpec",
+            "STABLE", "SURFACE", "is_polynomial_in_x_squared"} <= set(names)
+    modules = [twistcert] + [importlib.import_module(f"twistcert.{path.stem}")
+                             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
     for name in names:
-        assert not hasattr(twistcert, name), name
-        assert not hasattr(twistcert.matrices, name), name
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)
         assert name not in twistcert.__all__, name
+    for owner, method in ((twistcert.ClosureTable, "contains"),
+                          (twistcert.ClosureTable, "elements"),
+                          (twistcert.congruence.IdentityReport, "failures"),
+                          (twistcert.TwistWord, "concat")):
+        assert not hasattr(owner, method), (owner.__name__, method)
 
 
 def test_package_does_not_import_test_helpers():

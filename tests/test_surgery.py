@@ -5,9 +5,6 @@ import pytest
 from twistcert.surgery import (
     PHASE_3PI2,
     PHASE_ZERO,
-    STABLE,
-    SURFACE,
-    OrbitSpec,
     SurgeryOp,
     SurgeryPlan,
     TorusClass,
@@ -62,17 +59,17 @@ def test_equivalence_table():
 
 
 def test_stable_longitude_in_surface_basis():
-    assert stable_longitude_in_surface_basis(0) == TorusClass(0, 1, SURFACE)
-    assert stable_longitude_in_surface_basis(1) == TorusClass(-1, 1, SURFACE)
-    assert stable_longitude_in_surface_basis(-2) == TorusClass(2, 1, SURFACE)
+    assert stable_longitude_in_surface_basis(0) == TorusClass(0, 1)
+    assert stable_longitude_in_surface_basis(1) == TorusClass(-1, 1)
+    assert stable_longitude_in_surface_basis(-2) == TorusClass(2, 1)
 
 
 def test_new_meridian_class():
     for k in (-3, 0, 1, 4):
-        assert new_meridian_class(0, k) == TorusClass(1, k, SURFACE)
-    assert new_meridian_class(1, 2) == TorusClass(1, -2, SURFACE)
-    assert new_meridian_class(2, 1) == TorusClass(1, -1, SURFACE)
-    assert new_meridian_class(-1, -2) == TorusClass(1, 2, SURFACE)
+        assert new_meridian_class(0, k) == TorusClass(1, k)
+    assert new_meridian_class(1, 2) == TorusClass(1, -2)
+    assert new_meridian_class(2, 1) == TorusClass(1, -1)
+    assert new_meridian_class(-1, -2) == TorusClass(1, 2)
     # sign normalization: first nonzero coefficient positive
     assert TorusClass(-1, 2).normalized() == TorusClass(1, -2)
     assert TorusClass(0, -3).normalized() == TorusClass(0, 3)
@@ -81,18 +78,16 @@ def test_new_meridian_class():
 def test_table_rows_match_meridian_classes():
     # twist 0: meridian mu + k*lambda_S, order k
     for k in range(-5, 6):
-        assert new_meridian_class(0, k) == TorusClass(1, k, SURFACE)
+        assert new_meridian_class(0, k) == TorusClass(1, k)
         assert dehn_fried_equivalent_twist_order(0, k) == k
     # the four twisted rows normalize to (1, -k), consistent with order -k
     for twist, k in ((1, 2), (-1, -2), (2, 1), (-2, -1)):
-        assert new_meridian_class(twist, k) == TorusClass(1, -k, SURFACE)
+        assert new_meridian_class(twist, k) == TorusClass(1, -k)
         assert dehn_fried_equivalent_twist_order(twist, k) == -k
 
 
 def bracket(x: TorusClass, y: TorusClass) -> int:
-    """Alternating pairing mu1*lam2 - lam1*mu2 on a common basis."""
-    if x.basis != y.basis:
-        raise ValueError("classes use different longitude bases; convert first")
+    """Alternating pairing mu1*lam2 - lam1*mu2."""
     return x.mu * y.lam - x.lam * y.mu
 
 
@@ -105,65 +100,60 @@ def intersection(x: TorusClass, y: TorusClass) -> int:
 def rederive_longitude_shift(twist: int) -> int:
     """The coefficient j in lambda' = lambda + j*mu, read off lambda' after
     its intersection with lambda is checked to be the twist."""
-    lam = TorusClass(0, 1, SURFACE)
-    lam_prime = TorusClass(-twist, 1, SURFACE)
+    lam = TorusClass(0, 1)
+    lam_prime = TorusClass(-twist, 1)
     assert intersection(lam_prime, lam) == twist
     return lam_prime.mu
 
 
 def test_intersection_pairing_conventions():
-    mu = TorusClass(1, 0, SURFACE)
-    lam = TorusClass(0, 1, SURFACE)
+    mu = TorusClass(1, 0)
+    lam = TorusClass(0, 1)
     assert bracket(lam, mu) == -1
     for m in (-2, 0, 5):
-        section = TorusClass(m, 1, SURFACE)
+        section = TorusClass(m, 1)
         assert intersection(section, mu) == 1
     for twist in (-2, -1, 0, 1, 2):
         assert rederive_longitude_shift(twist) == -twist
-
-
-def test_mixed_bases_rejected():
-    with pytest.raises(ValueError):
-        bracket(TorusClass(1, 0, STABLE), TorusClass(0, 1, SURFACE))
-    with pytest.raises(ValueError):
-        TorusClass(1, 0, "other")
 
 
 def test_orbit_twist_is_that_of_its_curve():
     for kind, top in (("a", 3), ("b", 3), ("c", 2)):
         for index in range(1, top + 1):
             curve = CurveLetter(kind, index)
-            for phase in (PHASE_ZERO, PHASE_3PI2):
-                assert OrbitSpec(curve, 1, phase).twist == twist_of_orbit(curve)
+            k, order = (2, -2) if kind == "c" else (1, 1)
+            op = SurgeryOp(curve, k, order)
+            assert op.twist == twist_of_orbit(curve)
+            assert op.phase == (PHASE_3PI2 if kind == "b" else PHASE_ZERO)
     # an a-orbit has twist 0, so index k = 2 gives order +2, never -2
-    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
+    a1 = CurveLetter("a", 1)
     with pytest.raises(ValueError, match="gives order 2, not -2"):
-        SurgeryOp(orbit, 2, -2)
-    plan = SurgeryPlan(2, ((SurgeryOp(orbit, 2, 2),),))
+        SurgeryOp(a1, 2, -2)
+    plan = SurgeryPlan(2, ((SurgeryOp(a1, 2, 2),),))
     assert (plan.block_count, plan.op_count()) == (1, 1)
     assert monodromy_from_plan(plan) == parse_word("d1^-2 a1^2", 2)
     assert plan_as_json_dict(plan)["blocks"][0]["ops"][0]["twist"] == 0
 
 
 def test_surgery_op_validates_table():
-    orbit = OrbitSpec(CurveLetter("c", 1), 1, PHASE_ZERO)
-    SurgeryOp(orbit, 2, -2)
+    c1 = CurveLetter("c", 1)
+    SurgeryOp(c1, 2, -2)
     with pytest.raises(ValueError):
-        SurgeryOp(orbit, 2, 2)
+        SurgeryOp(c1, 2, 2)
     with pytest.raises(TwistOrderRejection):
-        SurgeryOp(orbit, 3, -3)
-    with pytest.raises(ValueError):
-        OrbitSpec(CurveLetter("d", 1), 1, PHASE_ZERO)
+        SurgeryOp(c1, 3, -3)
+    with pytest.raises(ValueError, match="no surgeries on them"):
+        SurgeryOp(CurveLetter("d", 1), 1, 1)
 
 
 def test_plan_from_example_word(example_word_text):
     dec = validate_family_T(parse_word(example_word_text, 2))
     plan = plan_from_T_word(dec)
     assert plan.block_count == 2
-    block1 = [(str(op.orbit.curve), op.index_k, op.order_l, op.orbit.phase)
+    block1 = [(str(op.curve), op.index_k, op.order_l, op.phase)
               for op in plan.ops[0]]
     assert block1 == [("a1", 1, 1, PHASE_ZERO), ("c1", 2, -2, PHASE_ZERO)]
-    block2 = [(str(op.orbit.curve), op.index_k, op.order_l, op.orbit.phase)
+    block2 = [(str(op.curve), op.index_k, op.order_l, op.phase)
               for op in plan.ops[1]]
     assert block2 == [("b1", 1, 1, PHASE_3PI2), ("b2", 1, 1, PHASE_3PI2)]
 
@@ -180,7 +170,7 @@ def test_plan_b_block_arbitrary_order():
     block = TBlock((0,) * g, (0, 0, -3), (0,) * (g - 1))
     plan = plan_from_T_word(TDecomposition((block,)))
     (op,) = plan.ops[0]
-    assert str(op.orbit.curve) == "b3"
+    assert str(op.curve) == "b3"
     assert op.index_k == -3 and op.order_l == -3
 
 
@@ -199,8 +189,7 @@ def test_monodromy_from_empty_plan():
 
 
 def test_monodromy_single_a_op():
-    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
-    plan = SurgeryPlan(2, ((SurgeryOp(orbit, 1, 1),),))
+    plan = SurgeryPlan(2, ((SurgeryOp(CurveLetter("a", 1), 1, 1),),))
     word = monodromy_from_plan(plan)
     assert eval_word(word) == generator_matrix(CurveLetter("a", 1), 2)
 
@@ -226,13 +215,14 @@ def test_round_trip_property_small():
 
 
 def test_plan_rejects_duplicate_orbits():
-    orbit = OrbitSpec(CurveLetter("a", 1), 1, PHASE_ZERO)
-    op = SurgeryOp(orbit, 1, 1)
-    with pytest.raises(ValueError):
-        SurgeryPlan(2, ((op, op),))
-    with pytest.raises(ValueError, match="wrong block"):
-        SurgeryPlan(2, ((), (op,)))  # an op of block 1 filed under block 2
-    out_of_range = SurgeryOp(OrbitSpec(CurveLetter("a", 5), 1, PHASE_ZERO), 1, 1)
+    a1 = CurveLetter("a", 1)
+    op = SurgeryOp(a1, 1, 1)
+    # the second pair are two ops on one curve; monodromy_from_plan kept only
+    # the last of them, so op_count() counted a surgery the monodromy lacked
+    for group in ((op, op), (op, SurgeryOp(a1, 2, 2))):
+        with pytest.raises(ValueError, match="^duplicate orbit a1 in block 2$"):
+            SurgeryPlan(2, ((), group))
+    out_of_range = SurgeryOp(CurveLetter("a", 5), 1, 1)
     with pytest.raises(ValueError):
         SurgeryPlan(2, ((out_of_range,),))
 
